@@ -48,7 +48,7 @@ from .partition import (
     virasoro_residuals,
     z_one,
 )
-from .tutte import catalan, r_circ, r_tilde, r_tilde_nc
+from .tutte import catalan, r_tilde, r_tilde_nc
 from .maps import (
     BudgetExceeded,
     DirectedMap,

@@ -23,10 +23,12 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from math import prod
+from typing import List, Sequence
 
 from . import maps, opmatrix, partition as pt, spectral, tutte
 from . import operators as ops
+from .series import mu_factorial, sorted_multi
 
 
 SUITES = (
@@ -64,6 +66,11 @@ def _emit(text: str, out_path: str | None):
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _usage_error(msg: str) -> int:
+    print(f"error: {msg}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +136,29 @@ def _count_rows(alpha: Sequence[int], g_filter: int | None, m: int) -> List[dict
     return rows
 
 
-def cmd_counts(args) -> int:
-    alpha = tuple(int(a) for a in args.alpha.replace(",", " ").split())
-    if not alpha or any(a < 1 for a in alpha):
-        print("error: alpha must be positive integers", file=sys.stderr)
-        return EXIT_USAGE
-    if args.nplus is not None and args.nplus != len(alpha):
-        print("error: --nplus must match the number of alpha entries", file=sys.stderr)
-        return EXIT_USAGE
-    rows = _count_rows(alpha, args.g, args.m)
-    if args.format == "json":
-        _emit(_json_dumps({"rows": rows}), args.out)
+def _emit_rows(rows: List[dict], fmt: str, out_path: str | None):
+    """Write a count table as JSON or CSV."""
+    if fmt == "json":
+        _emit(_json_dumps({"rows": rows}), out_path)
     else:
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=["g", "n_plus", "n_minus", "m", "alpha", "count"])
         w.writeheader()
         w.writerows(rows)
-        _emit(buf.getvalue(), args.out)
+        _emit(buf.getvalue(), out_path)
+
+
+def cmd_counts(args) -> int:
+    alpha = tuple(int(a) for a in args.alpha.replace(",", " ").split())
+    if not alpha or any(a < 1 for a in alpha):
+        return _usage_error("alpha must be positive integers")
+    if args.nplus is not None and args.nplus != len(alpha):
+        return _usage_error("--nplus must match the number of alpha entries")
+    if args.m < 0:
+        return _usage_error("--m must be >= 0")
+    if args.g is not None and args.g < 0:
+        return _usage_error("--g must be >= 0")
+    _emit_rows(_count_rows(alpha, args.g, args.m), args.format, args.out)
     return EXIT_OK
 
 
@@ -188,40 +201,22 @@ def _suite_adjoint(args) -> List[str]:
 
 
 def _suite_tutte(args) -> List[str]:
-    from math import factorial
-
     out = []
     z = pt.partition_function(min(args.dmax, 4))
     for d in range(min(args.dmax, 4) + 1):
         layer = z.layer(d)
         for mono, coeff in layer.terms.items():
             parts = mono.partition()
-            mu_fact = 1
-            for v in set(parts):
-                mu_fact *= factorial(parts.count(v))
-            if tutte.r_tilde_nc(parts, d) != coeff * mu_fact:
+            if tutte.r_tilde_nc(parts, d) != coeff * mu_factorial(parts):
                 out.append(f"layer {d} monomial {mono.as_str()}: tutte route disagrees")
     return out
 
 
 def _oracle_keys(s_max: int):
-    def parts_of(t, mx):
-        if t == 0:
-            yield ()
-            return
-        for p in range(min(t, mx), 0, -1):
-            for rest in parts_of(t - p, p):
-                yield (p,) + rest
-
-    for tot in range(2, s_max + 1, 2):
-        d = tot // 2
-        for alpha in parts_of(tot, tot):
-            n = len(alpha)
-            for n_minus in range(1, d + 2):
-                g2 = d + 2 - n - n_minus
-                if g2 < 0 or g2 % 2:
-                    continue
-                yield pt.CountKey(g2 // 2, n, n_minus, alpha)
+    for d in range(1, s_max // 2 + 1):
+        for g, n_plus, n_minus in opmatrix.stable_types(d):
+            for alpha in sorted_multi(2 * d, n_plus, 1):
+                yield pt.CountKey(g, n_plus, n_minus, alpha)
 
 
 def _suite_oracle(args) -> List[str]:
@@ -238,10 +233,7 @@ def _suite_oracle(args) -> List[str]:
         got = maps.count_dessins(spec, budget=args.n_budget)
         if got != want:
             out.append(f"{key}: enumeration {got} != partition {want}")
-        prod = 1
-        for a in key.alpha:
-            prod *= a
-        if tutte.r_tilde(key.g, key.n_plus, key.alpha) != prod * want:
+        if tutte.r_tilde(key.g, key.n_plus, key.alpha) != prod(key.alpha) * want:
             out.append(f"{key}: tutte route != partition route")
     return out
 
@@ -321,8 +313,7 @@ def cmd_verify(args) -> int:
     names = SUITES if args.suites == ["all"] else args.suites
     unknown = [s for s in names if s not in SUITE_FNS]
     if unknown:
-        print(f"error: unknown suites {unknown}; known: {', '.join(SUITES)}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"unknown suites {unknown}; known: {', '.join(SUITES)}")
     any_residual = False
     report = {}
     for name in names:
@@ -348,11 +339,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tr(args) -> int:
-    try:
-        om = spectral.tr_omega(args.g, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    om = spectral.tr_omega(args.g, args.n)
     payload = om.to_json_dict()
     payload["expansion"] = {
         " ".join(str(x) for x in e): _frac_str(c)
@@ -384,16 +371,9 @@ def cmd_export(args) -> int:
         for tot in range(2, args.s_max + 1, 2):
             n_range = [args.nplus] if args.nplus else range(1, tot + 1)
             for n_plus in n_range:
-                for alpha in opmatrix._sorted_multi(tot, n_plus, 1):
-                    rows.extend(_count_rows(tuple(alpha), None, 0))
-        if args.format == "json":
-            _emit(_json_dumps({"rows": rows}), args.out)
-        else:
-            buf = io.StringIO()
-            w = csv.DictWriter(buf, fieldnames=["g", "n_plus", "n_minus", "m", "alpha", "count"])
-            w.writeheader()
-            w.writerows(rows)
-            _emit(buf.getvalue(), args.out)
+                for alpha in sorted_multi(tot, n_plus, 1):
+                    rows.extend(_count_rows(alpha, None, 0))
+        _emit_rows(rows, args.format, args.out)
     elif args.what == "omega":
         return cmd_tr(args)
     elif args.what == "correlator":
@@ -429,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nplus", type=int, default=None)
     p.add_argument("--alpha", required=True, help="positive perimeters, e.g. '1 1 2'")
     p.add_argument("--m", type=int, default=0, help="bivalent vertex count")
-    p.add_argument("--dmax", type=int, default=4)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_counts)
@@ -481,9 +460,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.suites = [s.strip() for s in args.suites.split(",") if s.strip()]
     try:
         return args.fn(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError) as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .series import MONO_ONE, Monomial, Poly
 
@@ -138,14 +138,6 @@ def apply(op: DiffOp, p: Poly, cap_d: int | None = None) -> Poly:
     return Poly(out, cap)
 
 
-def compose_apply(ops: Iterable[DiffOp], p: Poly, cap_d: int | None = None) -> Poly:
-    """Apply operators right-to-left: ops = [a, b] computes a(b(p))."""
-    ops = list(ops)
-    for op in reversed(ops):
-        p = apply(op, p, cap_d)
-    return p
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -237,14 +229,6 @@ def scaled(op: DiffOp, c) -> DiffOp:
             yield DiffTerm(t.coeff * c, t.mono, t.ders)
 
     return DiffOp(f"{c}*{op.name}", op.shifts, gen)
-
-
-def op_sum(a: DiffOp, b: DiffOp, name: str | None = None) -> DiffOp:
-    def gen(s: Support) -> Iterator[DiffTerm]:
-        yield from a.gen(s)
-        yield from b.gen(s)
-
-    return DiffOp(name or f"{a.name}+{b.name}", tuple(sorted(set(a.shifts + b.shifts))), gen)
 
 
 def from_terms(name: str, terms: List[DiffTerm], shifts: Tuple[int, ...] | None = None) -> DiffOp:

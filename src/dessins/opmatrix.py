@@ -25,15 +25,17 @@ check the Gram adjointness between the (g, n+, n-) and (g, n-, n+) blocks.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import maps, operators as ops, partition as pt
-from .series import Monomial, Poly
+from .series import Monomial, Poly, mu_factorial, sorted_multi
 
 MultiIndex = Tuple[int, ...]
 
@@ -54,6 +56,14 @@ class KernelBlock:
         key = (tuple(sorted(a_plus)), tuple(sorted(a_minus)))
         return self.entries.get(key, Fraction(0))
 
+    def partition_entries(self) -> Iterator[Tuple[MultiIndex, MultiIndex, Fraction]]:
+        """(a+, a-, K[a+|a-] n-!/mu-!) for each entry: the value with the
+        negative boundaries read in the partition basis instead of the
+        labeled multi-index basis."""
+        n_minus_fact = factorial(self.n_minus)
+        for (a_plus, a_minus), val in self.entries.items():
+            yield a_plus, a_minus, val * Fraction(n_minus_fact, mu_factorial(a_minus))
+
     def to_json_dict(self) -> dict:
         return {
             "g": self.g,
@@ -65,31 +75,6 @@ class KernelBlock:
                 for (ap, am), v in sorted(self.entries.items())
             ],
         }
-
-
-def _compositions(total: int, parts: int) -> Iterable[MultiIndex]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _sorted_multi(total: int, parts: int, minimum: int = 0) -> Iterable[MultiIndex]:
-    """Weakly increasing multi-indices with the given sum."""
-
-    def rec(tot, k, lo):
-        if k == 0:
-            if tot == 0:
-                yield ()
-            return
-        for v in range(lo, tot // k + 1):
-            for rest in rec(tot - v, k - 1, v):
-                yield (v,) + rest
-
-    yield from rec(total, parts, minimum)
 
 
 @lru_cache(maxsize=None)
@@ -117,8 +102,8 @@ def kernel_block(g: int, n_plus: int, n_minus: int, cap: int) -> KernelBlock:
             continue
         structures.append((dm, pos, neg))
     for dtot in range(2 * d, cap + 1):
-        for a_plus in _sorted_multi(dtot, n_plus, minimum=1):
-            for a_minus in _sorted_multi(dtot - 2 * d, n_minus, minimum=0):
+        for a_plus in sorted_multi(dtot, n_plus, minimum=1):
+            for a_minus in sorted_multi(dtot - 2 * d, n_minus, minimum=0):
                 total = Fraction(0)
                 for dm, pos, neg in structures:
                     perims = [len(dm.faces[i]) for i in pos]
@@ -130,10 +115,7 @@ def kernel_block(g: int, n_plus: int, n_minus: int, cap: int) -> KernelBlock:
                             beta_minus = [a_minus[lm[j]] for j in range(n_minus)]
                             total += maps.lattice_points_directed(dm, beta_plus, beta_minus)
                 if total:
-                    prod = 1
-                    for a in a_plus:
-                        prod *= a
-                    entries[(a_plus, a_minus)] = Fraction(prod, denom) * total
+                    entries[(a_plus, a_minus)] = Fraction(math.prod(a_plus), denom) * total
     return KernelBlock(g, n_plus, n_minus, cap, entries)
 
 
@@ -150,26 +132,14 @@ def stable_types(d: int) -> List[Tuple[int, int, int]]:
 
 def _block_diffterms(block: KernelBlock) -> List[ops.DiffTerm]:
     """Terms K^part[mu+|mu-]/mu+!  t^{mu+} d_{mu-} of one connected block."""
-    terms = []
-    for (a_plus, a_minus), val in block.entries.items():
-        mu_plus: Dict[int, int] = {}
-        for a in a_plus:
-            mu_plus[a] = mu_plus.get(a, 0) + 1
-        mu_minus: Dict[int, int] = {}
-        for a in a_minus:
-            mu_minus[a] = mu_minus.get(a, 0) + 1
-        mu_plus_fact = 1
-        for e in mu_plus.values():
-            mu_plus_fact *= factorial(e)
-        mu_minus_fact = 1
-        for e in mu_minus.values():
-            mu_minus_fact *= factorial(e)
-        part_entry = val * Fraction(factorial(block.n_minus), mu_minus_fact)
-        coeff = part_entry / mu_plus_fact
-        terms.append(
-            ops.DiffTerm(coeff, Monomial(mu_plus), tuple(sorted(mu_minus.items())))
+    return [
+        ops.DiffTerm(
+            part_entry / mu_factorial(a_plus),
+            Monomial(Counter(a_plus)),
+            tuple(sorted(Counter(a_minus).items())),
         )
-    return terms
+        for a_plus, a_minus, part_entry in block.partition_entries()
+    ]
 
 
 def _normal_ordered_product(a: List[ops.DiffTerm], b: List[ops.DiffTerm]) -> List[ops.DiffTerm]:
@@ -289,17 +259,10 @@ def _v_matrix(block: KernelBlock) -> Dict[Tuple[MultiIndex, MultiIndex], Fractio
     """Partition-basis matrix of the kernel with the boundary-length
     prefactor removed: V e_{mu-} = sum_nu V[nu|mu-] e_nu."""
     out: Dict[Tuple[MultiIndex, MultiIndex], Fraction] = {}
-    for (a_plus, a_minus), val in block.entries.items():
-        mu_minus_fact = 1
-        for v in set(a_minus):
-            mu_minus_fact *= factorial(a_minus.count(v))
-        part_entry = val * Fraction(factorial(block.n_minus), mu_minus_fact)
-        prod = 1
-        for a in a_plus:
-            prod *= a
+    for a_plus, a_minus, part_entry in block.partition_entries():
         nu = tuple(sorted(a - 1 for a in a_plus))
         key = (nu, a_minus)
-        out[key] = out.get(key, Fraction(0)) + part_entry / prod
+        out[key] = out.get(key, Fraction(0)) + part_entry / math.prod(a_plus)
     return out
 
 
@@ -311,9 +274,9 @@ def adjoint_check(g: int, n_plus: int, n_minus: int, cap: int) -> List[str]:
     findings = []
     in_cap = cap - 2 * d
     for dp in range(in_cap + 1):
-        for mu_p in _sorted_multi(dp, n_plus, minimum=0):
+        for mu_p in sorted_multi(dp, n_plus, minimum=0):
             for dm in range(in_cap + 1):
-                for mu_m in _sorted_multi(dm, n_minus, minimum=0):
+                for mu_m in sorted_multi(dm, n_minus, minimum=0):
                     lhs = Fraction(0)
                     for (nu, src), v in fwd.items():
                         if src == mu_m:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Dict, List, Tuple
 
 from . import operators as ops
-from .series import MARKER_NEG, Monomial, Poly
+from .series import MARKER_NEG, Monomial, Poly, mu_factorial
 
 
 @dataclass
@@ -75,6 +75,8 @@ def partition_function_bivalent(
     The two flows commute; ``q1_first`` switches the order in which they are
     integrated, which must not change any layer.
     """
+    if d0_max < 0 or d1_max < 0:
+        raise ValueError("d0_max and d1_max must be >= 0")
     w0p = ops.w0_reduced(marker=with_marker)
     w1p = ops.w1_reduced(marker=with_marker)
     layers: Dict[Tuple[int, int], Poly] = {(0, 0): Poly.one()}
@@ -169,13 +171,7 @@ def count(c: QSeries, key: CountKey) -> Fraction:
     for a in key.alpha:
         exps[a] = exps.get(a, 0) + 1
     coeff = c.layer(max(d, 0), key.m).coeff(Monomial(exps))
-    mu_fact = 1
-    for v in set(key.alpha):
-        mu_fact *= factorial(key.alpha.count(v))
-    prod_alpha = 1
-    for a in key.alpha:
-        prod_alpha *= a
-    return coeff * mu_fact / prod_alpha
+    return coeff * mu_factorial(key.alpha) / prod(key.alpha)
 
 
 def integral_points_series(d_max: int, with_marker: bool = False) -> QSeries:

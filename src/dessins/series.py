@@ -27,8 +27,10 @@ usable as golden values in tests.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 Key = Union[int, str]  # int i >= 0 -> variable t_i ; str -> marker variable
 
@@ -89,12 +91,6 @@ class Monomial:
     def t0_exp(self) -> int:
         return self.exp(0)
 
-    def vars_part(self) -> Dict[int, int]:
-        return {k: e for k, e in self.exps if isinstance(k, int)}
-
-    def markers_part(self) -> Dict[str, int]:
-        return {k: e for k, e in self.exps if isinstance(k, str)}
-
     def partition(self) -> Tuple[int, ...]:
         """The partition (sorted parts, with multiplicity) of the t-variables i >= 1."""
         parts = []
@@ -123,10 +119,6 @@ class Monomial:
 
 
 MONO_ONE = Monomial()
-
-
-def mono(d: Mapping[Key, int]) -> Monomial:
-    return Monomial(d)
 
 
 def _cap_min(a: int | None, b: int | None) -> int | None:
@@ -210,9 +202,6 @@ class Poly:
                 rest = {k: e for k, e in m.exps if k != name}
                 out[Monomial(rest)] = c
         return Poly(out, self.cap)
-
-    def max_marker(self, name: str) -> int:
-        return max((m.exp(name) for m in self.terms), default=0)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
@@ -319,15 +308,6 @@ def poly_mul(a: Poly, b: Poly, cap_d: int) -> Poly:
     )
 
 
-def poly_pow(p: Poly, k: int, cap_d: int | None = None) -> Poly:
-    out = Poly.one(cap_d if cap_d is not None else p.cap)
-    for _ in range(k):
-        out = out * p
-        if cap_d is not None:
-            out = Poly(out.terms, cap_d)
-    return out
-
-
 def poly_exp(p: Poly, cap_d: int) -> Poly:
     """exp of a polynomial with positive minimal weighted degree, truncated."""
     if p.cap is not None and p.cap < cap_d:
@@ -364,6 +344,33 @@ def poly_log(p: Poly, cap_d: int) -> Poly:
             break
         out = out + uk.scale(Fraction((-1) ** (k + 1), k))
     return out
+
+
+# ---------------------------------------------------------------------------
+# multi-indices
+# ---------------------------------------------------------------------------
+
+
+def sorted_multi(total: int, parts: int, minimum: int = 0) -> Iterator[Tuple[int, ...]]:
+    """Weakly increasing multi-indices of length ``parts`` with the given sum
+    and every entry at least ``minimum``, in lexicographic order."""
+
+    def rec(tot, k, lo):
+        if k == 0:
+            if tot == 0:
+                yield ()
+            return
+        for v in range(lo, tot // k + 1):
+            for rest in rec(tot - v, k - 1, v):
+                yield (v,) + rest
+
+    yield from rec(total, parts, minimum)
+
+
+def mu_factorial(parts: Iterable[int]) -> int:
+    """mu! = prod over distinct values v of (multiplicity of v)!, the number
+    of reorderings of ``parts`` that leave it unchanged."""
+    return math.prod(math.factorial(m) for m in Counter(parts).values())
 
 
 # ---------------------------------------------------------------------------
@@ -651,14 +658,6 @@ class RationalFn:
             ),
             _poly_mul(self.den, self.den),
         )
-
-    def eval(self, x) -> Fraction:
-        x = _fr(x)
-        num = sum(c * x**i for i, c in enumerate(self.num))
-        den = sum(c * x**i for i, c in enumerate(self.den))
-        if den == 0:
-            raise ZeroDivisionError("pole at evaluation point")
-        return num / den
 
     def shifted(self, a) -> Tuple[list, list]:
         """Numerator and denominator as polynomials in u where z = a + u."""

@@ -24,6 +24,7 @@ variants of the kernel differ by such a constant).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +33,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import tutte
 from .maps import norbury_N
-from .series import LaurentSeries, RationalFn, laurent_compose, solve_disc
+from .series import LaurentSeries, RationalFn, laurent_compose, solve_disc, sorted_multi
 
 # pinned so that the residue recursion reproduces the Laplace coefficients
 KERNEL_SCALE = Fraction(-1, 2)
@@ -77,35 +78,22 @@ class CorrelatorSeries:
         """W*: coefficients R_{g,n}(alpha) = R~/prod(alpha) at exponents x^-alpha."""
         out = {}
         for alpha, v in self.coeffs.items():
-            denom = 1
-            for a in alpha:
-                denom *= a
+            denom = math.prod(alpha)
             if denom == 0:
                 raise ValueError("W* undefined for zero perimeters")
             out[alpha] = v / denom
         return out
 
 
-def _sorted_multi(total: int, parts: int, minimum: int) -> Iterable[MultiIndex]:
-    def rec(tot, k, lo):
-        if k == 0:
-            if tot == 0:
-                yield ()
-            return
-        for v in range(lo, tot // k + 1):
-            for rest in rec(tot - v, k - 1, v):
-                yield (v,) + rest
-
-    yield from rec(total, parts, minimum)
-
-
 @lru_cache(maxsize=None)
 def laplace_W(g: int, n: int, cap: int) -> CorrelatorSeries:
     """Correlator table with sum(alpha) <= cap, from the Tutte recursion."""
+    if g < 0 or n < 1:
+        raise ValueError(f"correlator W_{{g,n}} needs g >= 0 and n >= 1, got ({g},{n})")
     coeffs: Dict[MultiIndex, Fraction] = {}
     minimum = 0 if (g, n) == (0, 1) else 1
     for tot in range(0, cap + 1):
-        for alpha in _sorted_multi(tot, n, minimum):
+        for alpha in sorted_multi(tot, n, minimum):
             v = tutte.r_tilde(g, n, alpha)
             if v:
                 coeffs[alpha] = v
@@ -115,32 +103,6 @@ def laplace_W(g: int, n: int, cap: int) -> CorrelatorSeries:
 # ---------------------------------------------------------------------------
 # loop equation, coefficientwise
 # ---------------------------------------------------------------------------
-
-
-def _series_dict(w: CorrelatorSeries) -> Dict[MultiIndex, Fraction]:
-    """{exponents e: coefficient} with W = sum c(e) prod x_i^-e_i."""
-    out: Dict[MultiIndex, Fraction] = {}
-    for alpha, v in w.ordered_items():
-        e = tuple(a + 1 for a in alpha)
-        out[e] = out.get(e, Fraction(0)) + v
-    return out
-
-
-def _dict_add(dst, src, scale=Fraction(1)):
-    for e, c in src.items():
-        dst[e] = dst.get(e, Fraction(0)) + c * scale
-
-
-def _dict_mul(a, b, total_cap):
-    out: Dict[MultiIndex, Fraction] = {}
-    for e1, c1 in a.items():
-        s1 = sum(e1)
-        for e2, c2 in b.items():
-            if s1 + sum(e2) > total_cap:
-                continue
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return out
 
 
 def loop_check(g: int, n: int, cap: int) -> List[str]:
@@ -253,20 +215,33 @@ def bergman_check(cap: int) -> List[str]:
     return findings
 
 
-def bergman_full_identity(order: int) -> List[str]:
-    """1/(z1 z2 - 1)^2 + x' x'/(x1 - x2)^2 = 1/(z1 - z2)^2 as rational fns.
+def _x(z: RationalFn) -> RationalFn:
+    """The Zhukovsky map x = z + 1/z."""
+    return z + RationalFn.const(1) / z
 
-    Verified exactly via the polynomial identity
-    (z1 - z2)^2 + (z1^2 - 1)(z2^2 - 1) = (z1 z2 - 1)^2.
+
+def _dx(z: RationalFn) -> RationalFn:
+    """x'(z) = 1 - 1/z^2."""
+    return RationalFn.const(1) - RationalFn.const(1) / (z * z)
+
+
+def bergman_full_identity(order: int) -> List[str]:
+    """1/(z1 z2 - 1)^2 + x'(z1) x'(z2)/(x(z1) - x(z2))^2 = 1/(z1 - z2)^2.
+
+    Checked as an equality of rational functions in z1, with z2 fixed to
+    each rational point p/q, 1 <= q <= order, q < p <= q + order.
     """
+    one = RationalFn.const(1)
+    z1 = RationalFn.z()
+    grid = {Fraction(p, q) for q in range(1, order + 1) for p in range(q + 1, q + 1 + order)}
     findings = []
-    for z1 in range(2, 2 + order):
-        for z2 in range(z1 + 1, z1 + 1 + order):
-            lhs = (z1 - z2) ** 2 + (z1**2 - 1) * (z2**2 - 1)
-            rhs = (z1 * z2 - 1) ** 2
-            if lhs != rhs:
-                findings.append(f"z1={z1} z2={z2}: {lhs} != {rhs}")
-    # a polynomial identity of bidegree (2,2) checked on a 3x3+ grid is exact
+    for z2 in sorted(grid):
+        w = RationalFn.const(z2)
+        x_diff = _x(z1) - _x(w)
+        lhs = one / ((z1 * w - one) * (z1 * w - one)) + _dx(z1) * _dx(w) / (x_diff * x_diff)
+        rhs = one / ((z1 - w) * (z1 - w))
+        if lhs != rhs:
+            findings.append(f"z2={z2}: {lhs.as_str('z1')} != {rhs.as_str('z1')}")
     return findings
 
 

@@ -67,16 +67,6 @@ def r_tilde(g: int, n: int, alpha: Partition) -> Fraction:
     return total
 
 
-def r_circ(g: int, n: int, alpha: Iterable[int]) -> Fraction:
-    """Unweighted connected count R_{g,n}(alpha) = R~ / prod(alpha)."""
-    alpha = tuple(sorted(alpha))
-    val = r_tilde(g, n, alpha)
-    denom = 1
-    for a in alpha:
-        denom *= a
-    return val / denom if denom else val
-
-
 def _strip_zeros(mu: Partition) -> Partition:
     return tuple(a for a in mu if a > 0)
 

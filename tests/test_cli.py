@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
 
 from dessins import cli
 
@@ -137,3 +140,29 @@ def test_export_correlator_json(tmp_path):
     payload = json.loads(out.read_text())
     table = {tuple(e["alpha"]): e["value"] for e in payload["coefficients"]}
     assert table[(4,)] == "2" and table[(6,)] == "5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("export", "--what", "kernel", "--g", "0", "--nplus", "1", "--nminus", "1"),
+        ("zfun", "--dmax", "-1"),
+        ("zfun", "--bivalent", "--dmax", "-1"),
+        ("counts", "--alpha", "x"),
+        ("counts", "--alpha", "2", "--m", "-1"),
+        ("counts", "--alpha", "4", "--g", "-1"),
+        ("export", "--what", "correlator", "--n", "0"),
+        ("export", "--what", "correlator", "--g", "-1", "--n", "1"),
+        ("counts", "--alpha", "4", "--dmax", "4"),
+    ],
+    ids=" ".join,
+)
+def test_bad_input_exits_usage_with_message(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dessins.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -4,7 +4,7 @@ import pytest
 
 from dessins import spectral as sp
 from dessins import tutte
-from dessins.series import solve_disc
+from dessins.series import RationalFn, solve_disc
 
 
 def test_w01_equals_disc_series():
@@ -45,6 +45,12 @@ def test_disc_equation_is_loop_equation_at_01():
 def test_bergman_identity():
     assert sp.bergman_check(10) == []
     assert sp.bergman_full_identity(3) == []
+
+
+def test_bergman_full_identity_detects_wrong_sign_in_dx(monkeypatch):
+    one = RationalFn.const(1)
+    monkeypatch.setattr(sp, "_dx", lambda z: one + one / (z * z))
+    assert sp.bergman_full_identity(3)
 
 
 def test_tr_omega11_closed_form():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dessins import partition as pt
 from dessins import tutte
+from dessins.series import mu_factorial, sorted_multi
 
 
 def test_seed_and_disc_values():
@@ -122,3 +123,15 @@ def _sorted_partitions(total, n):
                 yield (v,) + rest
 
     yield from rec(total, n, 1)
+
+
+def test_shared_enumerator_and_mu_factorial_match_reference():
+    for total in range(1, 11):
+        for n in range(1, total + 1):
+            ref = list(_sorted_partitions(total, n))
+            assert list(sorted_multi(total, n, 1)) == ref
+            for alpha in ref:
+                mu_fact = 1
+                for v in set(alpha):
+                    mu_fact *= factorial(alpha.count(v))
+                assert mu_factorial(alpha) == mu_fact
