@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -102,19 +103,29 @@ def cmd_zfun(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _count_rows(alpha: Sequence[int], g_filter: int | None, m: int) -> List[dict]:
+def _connected_series(d: int, m: int) -> pt.QSeries:
+    """Connected marked series to quadrivalent depth ``d`` with ``m`` bivalent vertices."""
+    z = (
+        pt.partition_function(d, with_marker=True)
+        if m == 0
+        else pt.partition_function_bivalent(m, d, with_marker=True)
+    )
+    return pt.connected(z)
+
+
+def _count_rows(
+    alpha: Sequence[int], g_filter: int | None, m: int, c: pt.QSeries | None = None
+) -> List[dict]:
+    """Count rows of one profile; ``c`` is the connected series at its depth,
+    built here when not given."""
     total = sum(alpha) - m
     rows = []
     if total < 0 or total % 2:
         return rows
     d = total // 2
     n_plus = len(alpha)
-    z = (
-        pt.partition_function(d, with_marker=True)
-        if m == 0
-        else pt.partition_function_bivalent(m, d, with_marker=True)
-    )
-    c = pt.connected(z)
+    if c is None:
+        c = _connected_series(d, m)
     for g in range(0, d // 2 + 2):
         n_minus = d + 2 - 2 * g - n_plus
         if n_minus < 1:
@@ -247,19 +258,20 @@ def _suite_bivalent(args) -> List[str]:
     for k in set(b1.layers) | set(b2.layers):
         if b1.layers.get(k) != b2.layers.get(k):
             out.append(f"bivalent flow order disagrees at layer {k}")
+    # every (v4, v2) the flow below reaches: v4 <= 2, v2 <= 4
+    budget = min(args.n_budget, 16)
     c = pt.connected(pt.partition_function_bivalent(4, 2, with_marker=True))
-    for (v4, v2) in [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (2, 1), (0, 4)]:
+    for v4, v2 in itertools.product(range(3), range(5)):
         n_darts = 4 * v4 + 2 * v2
-        if n_darts > min(args.n_budget, 12):
+        if n_darts == 0 or n_darts > budget:
             continue
-        tbl = maps._dessin_table(v4, v2, True, min(args.n_budget, 16))
+        tbl = maps._dessin_table(v4, v2, True, budget)
         for (g, n_minus, perims), _cnt in tbl.items():
             alpha = tuple(perims)
             key = pt.CountKey(g, len(alpha), n_minus, alpha, m=v2)
             want = pt.count(c, key)
             got = maps.count_dessins(
-                maps.EnumSpec(v4, v2, len(alpha), n_minus, alpha, g=g),
-                budget=min(args.n_budget, 16),
+                maps.EnumSpec(v4, v2, len(alpha), n_minus, alpha, g=g), budget=budget
             )
             if want != got:
                 out.append(f"bivalent {key}: enumeration {got} != partition {want}")
@@ -339,6 +351,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tr(args) -> int:
+    if args.order < 0:
+        return _usage_error("--order must be >= 0")
     om = spectral.tr_omega(args.g, args.n)
     payload = om.to_json_dict()
     payload["expansion"] = {
@@ -359,6 +373,8 @@ def cmd_export(args) -> int:
         block = opmatrix.kernel_block(args.g, args.nplus, args.nminus, args.cap)
         _emit(_json_dumps(block.to_json_dict()), args.out)
     elif args.what == "maps":
+        if args.v4 < 0 or args.v2 < 0:
+            return _usage_error("--v4 and --v2 must be >= 0")
         valences = (4,) * args.v4 + (2,) * args.v2
         try:
             lines = list(maps.map_dump_lines(valences, budget=args.n_budget))
@@ -367,16 +383,23 @@ def cmd_export(args) -> int:
             return EXIT_BUDGET
         _emit("\n".join(lines) + "\n", args.out)
     elif args.what == "counts":
+        if args.s_max < 0:
+            return _usage_error("--s-max must be >= 0")
+        if args.nplus < 0:
+            return _usage_error("--nplus must be >= 0")
         rows = []
         for tot in range(2, args.s_max + 1, 2):
+            c = _connected_series(tot // 2, 0)
             n_range = [args.nplus] if args.nplus else range(1, tot + 1)
             for n_plus in n_range:
                 for alpha in sorted_multi(tot, n_plus, 1):
-                    rows.extend(_count_rows(alpha, None, 0))
+                    rows.extend(_count_rows(alpha, None, 0, c))
         _emit_rows(rows, args.format, args.out)
     elif args.what == "omega":
         return cmd_tr(args)
     elif args.what == "correlator":
+        if args.cap < 0:
+            return _usage_error("--cap must be >= 0")
         w = spectral.laplace_W(args.g, args.n, args.cap)
         _emit(_json_dumps(w.to_json_dict()), args.out)
     return EXIT_OK
@@ -453,12 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads is None:
-        args.threads = int(os.environ.get("DESSINS_THREADS", "1"))
-    maps.configure_threads(args.threads)
     if getattr(args, "suites", None) is not None and isinstance(args.suites, str):
         args.suites = [s.strip() for s in args.suites.split(",") if s.strip()]
     try:
+        if args.threads is None:
+            env = os.environ.get("DESSINS_THREADS", "1")
+            try:
+                args.threads = int(env)
+            except ValueError:
+                raise ValueError(f"DESSINS_THREADS must be an integer, got {env!r}") from None
+        maps.configure_threads(args.threads)
         return args.fn(args)
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))

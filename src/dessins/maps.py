@@ -15,6 +15,17 @@ order of s0.  Automorphisms fix each labeled positive boundary and may
 permute unlabeled negative boundaries, which is exactly what enumerating
 positive-face labelings realizes.
 
+The count tables never enumerate all N!! involutions.  A direction
+alternates around every vertex cycle, so each even-valence vertex carries
+one of two sign patterns, 2^v in all.  The centralizer of s0 acts
+transitively on them (rotating one vertex cycle by one step flips that
+vertex's pattern) and preserves genus, face perimeters and face signs.  So
+the tables fix one pattern (+ on even cycle positions), let s1 range over the
+(N/2)! bijections from the + darts to the - darts, each of which is a
+direction by construction, and multiply every count by 2^v.  For a map
+with k components and Euler characteristic chi the total genus is
+(2k - chi)/2.
+
 This module is the ground truth the operator routes are tested against; it
 must stay independent of them, so it shares no code with the Fock-space
 side.
@@ -59,13 +70,8 @@ def centralizer_order(valences: Sequence[int]) -> int:
     return out
 
 
-def fpf_involutions(n: int, first_partner: int | None = None) -> Iterator[Perm]:
-    """All fixed-point-free involutions of range(n); n must be even.
-
-    With ``first_partner`` set, only the involutions pairing dart 0 with it
-    are produced; the ranges over first partners split the search space into
-    independent slices for parallel scans.
-    """
+def fpf_involutions(n: int) -> Iterator[Perm]:
+    """All fixed-point-free involutions of range(n); n must be even."""
     if n % 2:
         return
     pairing = [-1] * n
@@ -83,12 +89,6 @@ def fpf_involutions(n: int, first_partner: int | None = None) -> Iterator[Perm]:
                 pairing[b] = -1
         pairing[a] = -1
 
-    if first_partner is not None:
-        if not 1 <= first_partner < n:
-            return
-        pairing[0], pairing[first_partner] = first_partner, 0
-        yield from rec(1)
-        return
     yield from rec(0)
 
 
@@ -277,86 +277,64 @@ class EnumSpec:
         return 4 * self.v4 + 2 * self.v2
 
 
-# worker count for the parallel s1-range scan; set via configure_threads()
+# worker count for the parallel slice scan; set via configure_threads()
 _SCAN_THREADS = 1
+
+TableKey = Tuple[int, int, Tuple[int, ...]]
 
 
 def configure_threads(threads: int) -> None:
+    """Set the number of fork workers of the brute-force scan (at least 1)."""
     global _SCAN_THREADS
-    _SCAN_THREADS = max(1, int(threads))
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
+    _SCAN_THREADS = threads
 
 
-def _scan_connected(
-    valences: Tuple[int, ...], first_partner: int | None
-) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
-    """Aggregate one s1-range slice of the connected-map table.
+def _scan_slice(
+    valences: Tuple[int, ...], connected_only: bool, first_image: int
+) -> Dict[TableKey, int]:
+    """Count one slice of the directed maps on the fixed sign pattern.
 
-    A single BFS both 2-colors the darts and checks connectivity; the two
-    global directions of one map contribute the key and its sign-swapped
-    mirror.
+    All valences are even, so every cycle of the canonical s0 starts at an
+    even dart and the pattern with + on even cycle positions is + on the
+    even darts.  ``s1`` pairs the even darts with the odd darts bijectively,
+    so every map is directed by construction; the slice holds the
+    bijections sending dart 0 to ``first_image``.  Keys are (total genus,
+    n_minus, sorted positive perimeters); counts are per sign pattern.
     """
-    table: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
     n = sum(valences)
     s0 = canonical_s0(valences)
     n_vert = len(valences)
-    eps = [0] * n
-    stack = [0] * n
-    for s1 in fpf_involutions(n, first_partner):
-        for d in range(n):
-            eps[d] = 0
-        eps[0] = 1
-        stack[0] = 0
-        top = 1
-        seen = 1
-        ok = True
-        while top and ok:
-            top -= 1
-            d = stack[top]
-            ed = eps[d]
-            for e in (s0[d], s1[d]):
-                w = eps[e]
-                if w == 0:
-                    eps[e] = -ed
-                    stack[top] = e
-                    top += 1
-                    seen += 1
-                elif w == ed:
-                    ok = False
-                    break
-        if not ok or seen != n:
+    s1 = [0] * n
+    s1[0], s1[first_image] = first_image, 0
+    table: Dict[TableKey, int] = {}
+    rest = [m for m in range(1, n, 2) if m != first_image]
+    for images in itertools.permutations(rest):
+        for p, m in zip(range(2, n, 2), images):
+            s1[p] = m
+            s1[m] = p
+        n_comp = len(set(components(s0, s1)))
+        if connected_only and n_comp > 1:
             continue
-        pos_perims = []
-        neg_perims = []
-        unseen = [True] * n
-        n_faces = 0
-        for start in range(n):
-            if not unseen[start]:
-                continue
-            ln = 0
-            d = start
-            while unseen[d]:
-                unseen[d] = False
-                ln += 1
-                d = s0[s1[d]]
-            n_faces += 1
-            (pos_perims if eps[start] > 0 else neg_perims).append(ln)
-        chi = n_vert - n // 2 + n_faces
-        g = (2 - chi) // 2
-        k1 = (g, len(neg_perims), tuple(sorted(pos_perims)))
-        k2 = (g, len(pos_perims), tuple(sorted(neg_perims)))
-        table[k1] = table.get(k1, 0) + 1
-        table[k2] = table.get(k2, 0) + 1
+        faces = face_orbits(s0, s1)
+        # a face's sign is the sign of any of its darts: + on even darts
+        pos_perims = tuple(sorted(len(f) for f in faces if f[0] % 2 == 0))
+        chi = n_vert - n // 2 + len(faces)
+        key = ((2 * n_comp - chi) // 2, len(faces) - len(pos_perims), pos_perims)
+        table[key] = table.get(key, 0) + 1
     return table
 
 
 @lru_cache(maxsize=None)
 def _dessin_table(
     v4: int, v2: int, connected_only: bool, budget: int
-) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
-    """Structure counts keyed by (total genus, n_minus, sorted positive perims).
+) -> Dict[TableKey, int]:
+    """Directed-map counts keyed by (total genus, n_minus, sorted positive perims).
 
-    Independent of the worker count: the parallel path sums the same slice
-    tables the sequential path scans in order.
+    One slice per image of the first + dart (dart 0); the slice counts are
+    summed and scaled by the 2^v sign patterns.  Independent of the worker
+    count: the parallel path sums the same slice tables as the sequential one.
     """
     valences = (4,) * v4 + (2,) * v2
     n = sum(valences)
@@ -364,26 +342,21 @@ def _dessin_table(
         return {}
     if n > budget:
         raise BudgetExceeded(f"{n} darts exceed budget {budget}")
-    if not connected_only:
-        table: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
-        for dm in directed_maps(valences, connected_only=False, budget=budget):
-            key = (dm.total_genus, dm.n_minus, dm.pos_perims)
-            table[key] = table.get(key, 0) + 1
-        return table
+    jobs = [(valences, connected_only, m) for m in range(1, n, 2)]
     if _SCAN_THREADS > 1 and n >= 10:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(_SCAN_THREADS) as pool:
-            slices = pool.starmap(
-                _scan_connected, [(valences, b) for b in range(1, n)]
-            )
-        table = {}
-        for part in slices:
-            for k, v in part.items():
-                table[k] = table.get(k, 0) + v
-        return table
-    return _scan_connected(valences, None)
+        with ctx.Pool(min(_SCAN_THREADS, len(jobs))) as pool:
+            slices = pool.starmap(_scan_slice, jobs)
+    else:
+        slices = itertools.starmap(_scan_slice, jobs)
+    patterns = 1 << len(valences)
+    table: Dict[TableKey, int] = {}
+    for part in slices:
+        for k, c in part.items():
+            table[k] = table.get(k, 0) + c * patterns
+    return table
 
 
 def count_dessins(spec: EnumSpec, budget: int = DEFAULT_DART_BUDGET) -> Fraction:

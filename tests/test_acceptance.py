@@ -113,25 +113,25 @@ def test_criterion_03_oracle_equivalence():
                     prod *= a
                 assert tutte.r_tilde(g, n_plus, alpha) == prod * want
                 checked += 1
-    # bivalent keys with N <= 12
+    # bivalent keys with N <= 16 inside the (6, 2) flow: v4 <= 2, v2 <= 6
     cb = pt.connected(pt.partition_function_bivalent(6, 2, with_marker=True))
     for v4 in range(0, 3):
-        for v2 in range(0, 13 - 4 * v4):
+        for v2 in range(0, 7):
             n_darts = 4 * v4 + 2 * v2
-            if n_darts == 0 or n_darts > 12:
+            if n_darts == 0 or n_darts > 16:
                 continue
-            table = maps._dessin_table(v4, v2, True, 12)
+            table = maps._dessin_table(v4, v2, True, 16)
             for (g, n_minus, perims), _ in table.items():
                 key = pt.CountKey(g, len(perims), n_minus, perims, m=v2)
                 want = pt.count(cb, key)
                 got = maps.count_dessins(
-                    maps.EnumSpec(v4, v2, len(perims), n_minus, perims, g=g), budget=12
+                    maps.EnumSpec(v4, v2, len(perims), n_minus, perims, g=g), budget=16
                 )
                 assert got == want
                 checked += 1
     elapsed = time.time() - t0
     assert elapsed < 300
-    _report(3, f"oracle equivalence on {checked} keys (sum alpha <= 8, N <= 12)", t0)
+    _report(3, f"oracle equivalence on {checked} keys (sum alpha <= 8, N <= 16)", t0)
 
 
 def test_criterion_04_witt_bracket():

@@ -154,11 +154,27 @@ def test_export_correlator_json(tmp_path):
         ("export", "--what", "correlator", "--n", "0"),
         ("export", "--what", "correlator", "--g", "-1", "--n", "1"),
         ("counts", "--alpha", "4", "--dmax", "4"),
+        ("export", "--what", "counts", "--s-max", "-1"),
+        ("export", "--what", "counts", "--nplus", "-1"),
+        ("export", "--what", "correlator", "--cap", "-1"),
+        ("export", "--what", "maps", "--v4", "-1"),
+        ("export", "--what", "maps", "--v2", "-1"),
+        ("tr", "--g", "0", "--n", "3", "--order", "-1"),
+        ("--threads", "0", "zfun", "--dmax", "1"),
+        ("--threads", "-1", "zfun", "--dmax", "1"),
     ],
     ids=" ".join,
 )
 def test_bad_input_exits_usage_with_message(argv):
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    _assert_usage_error(argv, {})
+
+
+def test_bad_threads_env_exits_usage_with_message():
+    _assert_usage_error(("zfun", "--dmax", "1"), {"DESSINS_THREADS": "x"})
+
+
+def _assert_usage_error(argv, extra_env):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **extra_env}
     proc = subprocess.run(
         [sys.executable, "-m", "dessins.cli", *argv], capture_output=True, text=True, env=env
     )

@@ -191,3 +191,22 @@ def test_parallel_scan_matches_sequential():
         maps.configure_threads(1)
         maps._dessin_table.cache_clear()
     assert seq == par
+
+
+def _reference_table(valences, connected_only):
+    """Per-direction table over all N!! involutions, via ``directed_maps``."""
+    table = {}
+    for dm in maps.directed_maps(valences, connected_only=connected_only):
+        key = (dm.total_genus, dm.n_minus, dm.pos_perims)
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_sign_pattern_table_matches_all_involutions(connected_only):
+    pairs = [(v4, v2) for v4 in range(4) for v2 in range(7) if 0 < 4 * v4 + 2 * v2 <= 12]
+    assert len(pairs) == 15
+    for v4, v2 in pairs:
+        want = _reference_table((4,) * v4 + (2,) * v2, connected_only)
+        assert want
+        assert maps._dessin_table(v4, v2, connected_only, 12) == want, (v4, v2)
