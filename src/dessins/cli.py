@@ -180,8 +180,8 @@ def cmd_counts(args) -> int:
 
 def _suite_witt(args) -> List[str]:
     out = []
-    for i in range(-1, 5):
-        for j in range(i, 5):
+    for i in range(-1, 7):
+        for j in range(i, 7):
             expect = ops.virasoro_l(i + j) if i != j else None
             res = ops.commutator_check(
                 ops.virasoro_l(i), ops.virasoro_l(j), expect, i - j,
@@ -370,6 +370,12 @@ def cmd_tr(args) -> int:
 
 def cmd_export(args) -> int:
     if args.what == "kernel":
+        min_cap = 2 * opmatrix.euler_degree(args.g, args.nplus, args.nminus)
+        if args.cap < min_cap:
+            return _usage_error(
+                f"--cap {args.cap} is below the minimal degree {min_cap} of the "
+                f"({args.g},{args.nplus},{args.nminus}) block"
+            )
         block = opmatrix.kernel_block(args.g, args.nplus, args.nminus, args.cap)
         _emit(_json_dumps(block.to_json_dict()), args.out)
     elif args.what == "maps":

@@ -6,6 +6,14 @@ exponent) it yields the finitely many terms ``c * t^mu * d^nu`` that can act
 nontrivially.  Finiteness of each action is a consequence of the grading,
 and the generator interface enforces it structurally.
 
+Every generator keeps the superset contract: for supports S within S'
+(componentwise), ``terms(S)`` is a sub-multiset of ``terms(S')``, and every
+term in the difference sends every monomial within S to zero.  ``apply``
+relies on it: each operator compiles one term table, for the largest
+support it has met, grouped by derivative and indexed by the first
+derivative variable, and rebuilds it only when a larger support arrives.
+One table per operator, never one per support.
+
 Available constructors:
 
 * ``w1()``  -- the quadrivalent cut-and-join operator, homogeneous of
@@ -25,9 +33,9 @@ s = the marker ``t-`` it tracks the number of negative boundary components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .series import MONO_ONE, Monomial, Poly
@@ -59,14 +67,64 @@ class Support:
 GenFn = Callable[[Support], Iterator[DiffTerm]]
 
 
+# one group of an operator's terms: the shared derivative, its weighted
+# degree and the (coeff, mono) pairs that multiply it
+TermGroup = Tuple[Ders, int, Tuple[Tuple[Fraction, Monomial], ...]]
+
+
+@dataclass(frozen=True)
+class _TermTable:
+    """The terms of ``gen(support)`` grouped by derivative; each group is
+    keyed by its first derivative variable, the derivative-free one by None."""
+
+    support: Support
+    groups: Dict[int | None, Tuple[TermGroup, ...]]
+
+    @classmethod
+    def build(cls, op: "DiffOp", support: Support) -> "_TermTable":
+        by_ders: Dict[Ders, List[Tuple[Fraction, Monomial]]] = {}
+        for t in op.terms(support):
+            by_ders.setdefault(t.ders, []).append((t.coeff, t.mono))
+        groups: Dict[int | None, List[TermGroup]] = {}
+        for ders, entries in by_ders.items():
+            key = ders[0][0] if ders else None
+            weight = sum(i * e for i, e in ders)
+            groups.setdefault(key, []).append((ders, weight, tuple(entries)))
+        return cls(support, {k: tuple(v) for k, v in groups.items()})
+
+
 @dataclass(frozen=True)
 class DiffOp:
     name: str
     shifts: Tuple[int, ...]  # possible degree shifts of generated terms
     gen: GenFn
+    # the term table of the largest support met so far (see ``term_table``)
+    _table: _TermTable | None = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
 
     def terms(self, support: Support) -> Iterator[DiffTerm]:
         return self.gen(support)
+
+    def term_table(self, support: Support) -> _TermTable:
+        """The grouped terms for every input within ``support``.
+
+        One table per operator: it covers the componentwise-largest support
+        met so far and is rebuilt only when a support outside it arrives.
+        By the generator contract the extra terms of a larger support send
+        every monomial within a smaller one to zero.
+        """
+        table = self._table
+        if table is not None:
+            have = table.support
+            if support.max_deg <= have.max_deg and support.max_t0 <= have.max_t0:
+                return table
+            support = Support(
+                max(support.max_deg, have.max_deg), max(support.max_t0, have.max_t0)
+            )
+        table = _TermTable.build(self, support)
+        object.__setattr__(self, "_table", table)
+        return table
 
     @property
     def min_shift(self) -> int:
@@ -89,20 +147,24 @@ def _dt(coeff, mono_exps: Dict, ders: Dict[int, int]) -> DiffTerm:
 # ---------------------------------------------------------------------------
 
 
-def _apply_ders_to_monomial(m: Monomial, ders: Ders) -> Tuple[Fraction, Monomial] | None:
-    c = Fraction(1)
+def _derive(m: Monomial, ders: Ders, weight: int) -> Tuple[int, Monomial] | None:
+    """prod d_i^e applied to ``m``: (integer factor, monomial), or None if zero.
+
+    ``weight`` is the weighted degree of ``ders``.
+    """
     exps = dict(m.exps)
+    fc = 1
     for i, e in ders:
         have = exps.get(i, 0)
         if have < e:
             return None
-        for k in range(e):
-            c *= have - k
+        fc *= perm(have, e)
         if have == e:
             del exps[i]
         else:
             exps[i] = have - e
-    return c, Monomial(exps)
+    # lowering or deleting entries keeps the sorted order of m.exps
+    return fc, Monomial._raw(tuple(exps.items()), m.degree - weight)
 
 
 def apply(op: DiffOp, p: Poly, cap_d: int | None = None) -> Poly:
@@ -115,22 +177,31 @@ def apply(op: DiffOp, p: Poly, cap_d: int | None = None) -> Poly:
         raise ValueError(
             f"input trusted to degree {p.cap} but degree {cap_d - op.min_shift} needed"
         )
-    support = Support(p.max_degree, p.max_t0)
+    groups = op.term_table(Support(p.max_degree, p.max_t0)).groups
     out: Dict[Monomial, Fraction] = {}
-    for term in op.terms(support):
-        for m, c in p.terms.items():
-            hit = _apply_ders_to_monomial(m, term.ders)
-            if hit is None:
-                continue
-            fc, dm = hit
-            nm = dm.mul(term.mono)
-            if cap_d is not None and nm.degree > cap_d:
-                continue
-            val = out.get(nm, Fraction(0)) + c * fc * term.coeff
-            if val:
-                out[nm] = val
-            else:
-                out.pop(nm, None)
+    for m, c in p.terms.items():
+        # a group can act on m only if m has its first derivative variable
+        for key in (None, *(k for k, _ in m.exps)):
+            for ders, weight, entries in groups.get(key, ()):
+                if ders:
+                    hit = _derive(m, ders, weight)
+                    if hit is None:
+                        continue
+                    fc, dm = hit
+                    cm = c * fc
+                else:
+                    dm, cm = m, c
+                for coeff, mono in entries:
+                    if cap_d is not None and dm.degree + mono.degree > cap_d:
+                        continue
+                    nm = dm.mul(mono)
+                    val = cm * coeff
+                    if nm in out:
+                        val += out[nm]
+                    if val:
+                        out[nm] = val
+                    else:
+                        out.pop(nm, None)
     if p.cap is None:
         cap = cap_d
     else:

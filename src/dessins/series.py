@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, Tuple, Union
 
 Key = Union[int, str]  # int i >= 0 -> variable t_i ; str -> marker variable
 
@@ -46,21 +47,41 @@ def _key_sort(k: Key):
     return (0, k, "") if isinstance(k, int) else (1, 0, k)
 
 
-class Monomial:
-    """Immutable sparse exponent vector over variables and markers."""
+def _item_sort(item: Tuple[Key, int]):
+    return _key_sort(item[0])
 
-    __slots__ = ("exps", "_hash")
+
+class Monomial:
+    """Immutable sparse exponent vector over variables and markers.
+
+    ``degree`` is the weighted degree: variable i contributes i per power,
+    markers 0.
+    """
+
+    __slots__ = ("exps", "_hash", "degree")
 
     def __init__(self, exps: Mapping[Key, int] | Iterable[Tuple[Key, int]] = ()):
         items = exps.items() if isinstance(exps, Mapping) else exps
-        clean = tuple(sorted(((k, e) for k, e in items if e != 0), key=lambda t: _key_sort(t[0])))
+        clean = tuple(sorted(((k, e) for k, e in items if e != 0), key=_item_sort))
         for k, e in clean:
             if e < 0:
                 raise ValueError(f"negative exponent for {k}")
             if isinstance(k, int) and k < 0:
                 raise ValueError(f"negative variable index {k}")
-        object.__setattr__(self, "exps", clean)
-        object.__setattr__(self, "_hash", hash(clean))
+        self._set(clean, sum(k * e for k, e in clean if isinstance(k, int)))
+
+    @classmethod
+    def _raw(cls, exps: Tuple[Tuple[Key, int], ...], degree: int) -> "Monomial":
+        """Trusted constructor: ``exps`` is already sorted, with positive
+        exponents and valid keys, and ``degree`` is its weighted degree."""
+        m = object.__new__(cls)
+        m._set(exps, degree)
+        return m
+
+    def _set(self, exps, degree):
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "_hash", hash(exps))
+        object.__setattr__(self, "degree", degree)
 
     def __hash__(self):
         return self._hash
@@ -70,11 +91,6 @@ class Monomial:
 
     def __setattr__(self, *a):
         raise AttributeError("Monomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Weighted degree: variable i contributes i per power, markers 0."""
-        return sum(k * e for k, e in self.exps if isinstance(k, int))
 
     @property
     def n_parts(self) -> int:
@@ -100,10 +116,20 @@ class Monomial:
         return tuple(sorted(parts))
 
     def mul(self, other: "Monomial") -> "Monomial":
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
         d = dict(self.exps)
+        same_keys = True  # then d keeps the sorted order of self.exps
         for k, e in other.exps:
-            d[k] = d.get(k, 0) + e
-        return Monomial(d)
+            if k in d:
+                d[k] += e
+            else:
+                d[k] = e
+                same_keys = False
+        exps = tuple(d.items()) if same_keys else tuple(sorted(d.items(), key=_item_sort))
+        return Monomial._raw(exps, self.degree + other.degree)
 
     def __repr__(self):
         return f"Monomial({self.as_str()})"

@@ -146,6 +146,7 @@ def test_export_correlator_json(tmp_path):
     "argv",
     [
         ("export", "--what", "kernel", "--g", "0", "--nplus", "1", "--nminus", "1"),
+        ("export", "--what", "kernel", "--g", "0", "--nplus", "2", "--nminus", "1", "--cap", "1"),
         ("zfun", "--dmax", "-1"),
         ("zfun", "--bivalent", "--dmax", "-1"),
         ("counts", "--alpha", "x"),

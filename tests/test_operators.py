@@ -1,9 +1,14 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins import operators as ops
-from dessins.series import Monomial, Poly, parse_poly
+from dessins import opmatrix
+from dessins.series import MARKER_NEG, Monomial, Poly, parse_poly
 
 
 def P(*pairs, cap=None):
@@ -171,3 +176,131 @@ def test_globally_flipped_sign_convention_breaks_the_bracket():
     assert not ops.commutator_check(
         ops.virasoro_l(0), ops.virasoro_l(1), ops.virasoro_l(1), -1, 4, 4
     )
+
+
+# ---------------------------------------------------------------------------
+# the grouped term table against the naive term-by-monomial loop
+# ---------------------------------------------------------------------------
+
+OPERATORS = {
+    "w0": ops.w0,
+    "w1": ops.w1,
+    "p_plus": ops.p_plus,
+    "p_minus": ops.p_minus,
+    **{f"L{i}": (lambda i=i: ops.virasoro_l(i)) for i in range(-1, 7)},
+    "C": ops.constraint_c,
+    "w1 conjugated by 1": lambda: ops.conjugate_shift(ops.w1(), 1),
+    "w1 reduced with marker": lambda: ops.w1_reduced(marker=True),
+    "scaled w1": lambda: ops.scaled(ops.w1(), Fraction(-3, 2)),
+    "K_2": lambda: opmatrix.assembled_operator(2, 8),
+}
+
+
+def _reference_apply(op, p, cap_d=None):
+    """Every term of ``op.terms(support)`` against every monomial of ``p``."""
+    if cap_d is not None and p.cap is not None and p.cap < cap_d - op.min_shift:
+        raise ValueError("input trust cap too low")
+    out = {}
+    for term in op.terms(ops.Support(p.max_degree, p.max_t0)):
+        for m, c in p.terms.items():
+            exps = dict(m.exps)
+            fc = 1
+            for i, e in term.ders:
+                have = exps.get(i, 0)
+                if have < e:
+                    break
+                for k in range(e):
+                    fc *= have - k
+                exps[i] = have - e
+            else:
+                nm = Monomial(exps).mul(term.mono)
+                if cap_d is None or nm.degree <= cap_d:
+                    out[nm] = out.get(nm, Fraction(0)) + c * fc * term.coeff
+    if p.cap is None:
+        cap = cap_d
+    else:
+        cap = p.cap + op.min_shift if cap_d is None else min(cap_d, p.cap + op.min_shift)
+    return Poly(out, cap)
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except ValueError:
+        return "ValueError"
+    return out.terms, out.cap
+
+
+_monomials = st.dictionaries(
+    st.sampled_from([0, 1, 2, 3, 4, 5, 6, MARKER_NEG]), st.integers(1, 3), max_size=3
+).filter(lambda d: Monomial(d).degree <= 9)
+_polys = st.builds(
+    lambda pairs, cap: parse_poly(pairs, cap),
+    st.lists(st.tuples(_monomials, st.fractions(max_denominator=4).filter(bool)), max_size=5),
+    st.one_of(st.none(), st.integers(4, 12)),
+)
+# one instance per operator, shared by all examples, so the table meets
+# supports in arbitrary order
+_SHARED = {}
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+@given(p=_polys, cap_d=st.one_of(st.none(), st.integers(0, 12)))
+@settings(max_examples=25, deadline=None)
+def test_apply_matches_reference_loop(name, p, cap_d):
+    op = _SHARED.setdefault(name, OPERATORS[name]())
+    assert _outcome(ops.apply, op, p, cap_d) == _outcome(_reference_apply, op, p, cap_d)
+
+
+def _fresh(name):
+    # a copy starts without a table, also for the cached assembled operator
+    return dataclasses.replace(OPERATORS[name]())
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+def test_table_reuse_across_supports(name):
+    high = P(({1: 2, 4: 1}, 3), ({0: 2, 2: 1}, Fraction(1, 2)), ({MARKER_NEG: 1, 3: 2}, -1))
+    low = P(({1: 1}, 1), ({0: 1, 2: 1}, 2), ({}, 5))
+    higher = P(({0: 3, 1: 1, 8: 1}, 1), ({5: 2}, Fraction(2, 3)), ({1: 1}, -4))
+    op = OPERATORS[name]()
+    for p in (high, low, higher):
+        got = ops.apply(op, p)
+        assert got == ops.apply(_fresh(name), p)
+        assert got == _reference_apply(op, p)
+
+
+def test_term_table_leaves_equality_and_hash_alone():
+    gen = ops.w0().gen
+    a, b = ops.DiffOp("W0", (1,), gen), ops.DiffOp("W0", (1,), gen)
+    before = hash(a)
+    ops.apply(a, P(({1: 2}, 1)))
+    assert a == b and hash(a) == before == hash(b) and repr(a) == "DiffOp(W0)"
+
+
+# ---------------------------------------------------------------------------
+# the generator contract that lets one table serve every smaller support
+# ---------------------------------------------------------------------------
+
+SUPPORTS = [ops.Support(d, t0) for d in range(9) for t0 in range(3)]
+
+
+def _kills(ders, m):
+    return any(m.exp(i) < e for i, e in ders)
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+def test_generator_terms_grow_only_by_terms_that_vanish(name):
+    op = OPERATORS[name]()
+    terms = {s: Counter(op.terms(s)) for s in SUPPORTS}
+    for s in SUPPORTS:
+        basis = list(ops.basis_monomials(s.max_deg, s.max_deg, s.max_t0))
+        vanishing = {}
+        for big in SUPPORTS:
+            if big.max_deg < s.max_deg or big.max_t0 < s.max_t0:
+                continue
+            extra = terms[big] - terms[s]
+            assert not terms[s] - terms[big], (s, big)
+            for t in extra:
+                if t.ders not in vanishing:
+                    vanishing[t.ders] = all(_kills(t.ders, m) for m in basis)
+                assert vanishing[t.ders], (s, big, t)
