@@ -280,7 +280,7 @@ def _suite_bivalent(args) -> List[str]:
 
 def _suite_loop(args) -> List[str]:
     out = []
-    for g, n in [(0, 1), (0, 2), (1, 1), (0, 3)]:
+    for g, n in [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (0, 4)]:
         out.extend(spectral.loop_check(g, n, args.order))
     return out
 
@@ -293,7 +293,8 @@ def _suite_bergman(args) -> List[str]:
 
 def _suite_tr(args) -> List[str]:
     out = []
-    for g, n, hi in [(0, 3, args.order), (1, 1, args.order + 1)]:
+    k = args.order
+    for g, n, hi in [(0, 3, k), (1, 1, k + 1), (0, 4, k), (1, 2, k), (2, 1, k), (1, 3, k)]:
         out.extend(spectral.tr_agreement_check(g, n, hi))
     return out
 
@@ -322,6 +323,8 @@ SUITE_FNS = {
 
 
 def cmd_verify(args) -> int:
+    if args.order < 0:
+        return _usage_error("--order must be >= 0")
     names = SUITES if args.suites == ["all"] else args.suites
     unknown = [s for s in names if s not in SUITE_FNS]
     if unknown:

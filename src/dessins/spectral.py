@@ -14,6 +14,20 @@ live in the ring spanned by products of 1/(z_j - eps)^k over the passive
 variables, so the residue lands directly in partial-fraction form and pole
 confinement holds structurally.
 
+A residue reads one coefficient, that of u^-1, so each factor of the
+integrand is expanded only as far as that coefficient needs.  Each factor
+carries a lower bound l on its order in u: a pole 1/(z - e)^k or
+1/(1/z - e)^k has order -k when e = eps (at eps = +-1, 1/eps = eps) and 0
+otherwise, a passive pole has order 0, the Bergman term 1/(z - 1/z)^2 has
+order -2, the kernel factor 1/(omega_{0,1} - sigma^* omega_{0,1}) has order
+-2, the coupling 1/(z - z1) - 1/(1/z - z1) has order 1 (it vanishes where
+z = 1/z), and the Jacobian -1/z^2 has order 0.  A sum has the least bound of
+its terms.  In a product of factors with bounds l_1..l_m, a coefficient of
+u^h only meets exponents e_i with sum e_i = h and e_j >= l_j, so
+e_i <= h - sum_{j != i} l_j: expanding factor i through that exponent makes
+the product exact through u^h.  A bound below the true order only widens a
+window, never narrows it.
+
 The recursion kernel is implemented with denominator (omega_{0,1} -
 sigma^* omega_{0,1}) and coupling factor 1/(z - z1) - 1/(1/z - z1); an
 overall normalization constant ``KERNEL_SCALE`` multiplies the residues and
@@ -27,9 +41,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from . import tutte
 from .maps import norbury_N
@@ -107,17 +121,20 @@ def laplace_W(g: int, n: int, cap: int) -> CorrelatorSeries:
 
 def loop_check(g: int, n: int, cap: int) -> List[str]:
     """Residuals of the quadratic loop equation for W_{g,n}, coefficientwise
-    on every exponent vector of total order <= cap (expected none)."""
-    ing_cap = cap + 2 * n + 2
+    on every exponent vector of total order <= cap (expected none).
+
+    Every term raises the total of the alpha it reads, so the tables to
+    ``cap`` hold every coefficient that reaches the window.
+    """
     lhs: Dict[MultiIndex, Fraction] = {}
-    for alpha, v in laplace_W(g, n, ing_cap).ordered_items():
+    for alpha, v in laplace_W(g, n, cap).ordered_items():
         e = (alpha[0],) + tuple(a + 1 for a in alpha[1:])
         lhs[e] = lhs.get(e, Fraction(0)) + v
     rhs: Dict[MultiIndex, Fraction] = {}
     # divided-difference terms, one per passive variable
     if n >= 2:
         for i in range(1, n):
-            wd = laplace_W(g, n - 1, ing_cap)
+            wd = laplace_W(g, n - 1, cap)
             for alpha, v in wd.ordered_items():
                 a = alpha[0]
                 beta = alpha[1:]
@@ -133,20 +150,25 @@ def loop_check(g: int, n: int, cap: int) -> List[str]:
                     rhs[key] = rhs.get(key, Fraction(0)) + (vv + 1) * v
     # genus-reduction term
     if g >= 1:
-        for alpha, v in laplace_W(g - 1, n + 1, ing_cap).ordered_items():
+        for alpha, v in laplace_W(g - 1, n + 1, cap).ordered_items():
             e = (alpha[0] + alpha[1] + 2,) + tuple(a + 1 for a in alpha[2:])
             rhs[e] = rhs.get(e, Fraction(0)) + v
-    # splitting over ordered pairs, unstable (0,1) pieces included
+    # splitting over ordered pairs, unstable (0,1) pieces included; a pair
+    # (a1, a2) lands on total sum(a1) + sum(a2) + n + 1
     passive = list(range(1, n))
     for g1 in range(g + 1):
         g2 = g - g1
         for r in range(len(passive) + 1):
             for s1 in itertools.combinations(passive, r):
                 s2 = [j for j in passive if j not in s1]
-                w1 = laplace_W(g1, len(s1) + 1, ing_cap)
-                w2 = laplace_W(g2, len(s2) + 1, ing_cap)
-                for a1, v1 in w1.ordered_items():
-                    for a2, v2 in w2.ordered_items():
+                items2 = sorted(
+                    laplace_W(g2, len(s2) + 1, cap).ordered_items(), key=lambda av: sum(av[0])
+                )
+                for a1, v1 in laplace_W(g1, len(s1) + 1, cap).ordered_items():
+                    room = cap - n - 1 - sum(a1)
+                    for a2, v2 in items2:
+                        if sum(a2) > room:
+                            break
                         e = [0] * n
                         e[0] = a1[0] + a2[0] + 2
                         for j, b in zip(s1, a1[1:]):
@@ -158,7 +180,7 @@ def loop_check(g: int, n: int, cap: int) -> List[str]:
     if (g, n) == (0, 1):
         rhs[(0,)] = rhs.get((0,), Fraction(0)) + 1
     findings = []
-    for e in set(lhs) | set(rhs):
+    for e in sorted(set(lhs) | set(rhs)):
         if sum(e) > cap:
             continue
         if lhs.get(e, Fraction(0)) != rhs.get(e, Fraction(0)):
@@ -453,102 +475,151 @@ def _passive_coupling(slot: int, eps: int, power: int, hi: int, at_inverse: bool
     return ULaurent(coeffs, hi)
 
 
-def _omega_factor_expansion(
-    key: PoleKey, slot_args: Dict[int, Tuple[str, int]], eps: int, hi: int
-) -> ULaurent:
-    """Expand one stored pole monomial under a slot assignment.
+@dataclass(frozen=True)
+class _Factor:
+    """One factor of a residue integrand at z = eps + u.
+
+    ``order`` is a lower bound on its order in u, and ``expand(hi)`` is its
+    expansion, exact through u^hi.
+    """
+
+    order: int
+    expand: Callable[[int], ULaurent]
+
+
+def _product(factors: Sequence[_Factor], hi: int) -> ULaurent:
+    """The product of ``factors``, exact through u^hi.
+
+    Each factor is expanded only through u^(hi - the orders of the others).
+    """
+    total = sum(f.order for f in factors)
+    out = factors[0].expand(hi - total + factors[0].order)
+    for f in factors[1:]:
+        out = out * f.expand(hi - total + f.order)
+    return out
+
+
+def _product_factor(factors: Sequence[_Factor]) -> _Factor:
+    return _Factor(sum(f.order for f in factors), partial(_product, factors))
+
+
+def _sum_factor(terms: Sequence[Tuple[Fraction, _Factor]]) -> _Factor:
+    """sum c * f over the (c, f) of ``terms``."""
+
+    def expand(hi: int) -> ULaurent:
+        out = ULaurent({}, hi)
+        for c, f in terms:
+            piece = f.expand(hi)
+            out = out + (piece if c == 1 else piece.scale(c))
+        return out
+
+    return _Factor(min((f.order for _, f in terms), default=0), expand)
+
+
+def _passive_pole(slot: int, pole_eps: int, power: int, hi: int) -> ULaurent:
+    return ULaurent({0: _pole(slot, pole_eps, power)}, hi)
+
+
+def _omega_factors(
+    key: PoleKey, slot_args: Dict[int, Tuple[str, int]], eps: int
+) -> List[_Factor]:
+    """The pole factors of one stored pole monomial under a slot assignment.
 
     ``slot_args[s]`` is ("z", 0) for the residue variable, ("invz", 0) for
-    its sigma image, or ("passive", j) mapping to output slot j.
+    its sigma image, or ("passive", j) mapping to output slot j.  A pole
+    1/(z - e)^k or 1/(1/z - e)^k has order -k in u when e = eps (1/eps = eps)
+    and order 0 otherwise; a passive pole is constant in u.
     """
-    out = ULaurent({0: _scalar(1)}, hi)
+    factors = []
     for (s, pole_eps), power in key:
         kind, j = slot_args[s]
-        if kind == "z":
-            out = out * _pole_factor_at(eps, pole_eps, power, hi, at_inverse=False)
-        elif kind == "invz":
-            out = out * _pole_factor_at(eps, pole_eps, power, hi, at_inverse=True)
+        if kind == "passive":
+            factors.append(_Factor(0, partial(_passive_pole, j, pole_eps, power)))
         else:
-            out = out * ULaurent({0: _pole(j, pole_eps, power)}, hi)
-    return out
+            expand = partial(_pole_factor_at, eps, pole_eps, power, at_inverse=(kind == "invz"))
+            factors.append(_Factor(-power if pole_eps == eps else 0, expand))
+    return factors
 
 
-def _omega_eval(
-    omega: PoleSum, slot_args: Dict[int, Tuple[str, int]], eps: int, hi: int
-) -> ULaurent:
-    out = ULaurent({}, hi)
-    for key, c in omega.items():
-        out = out + _omega_factor_expansion(key, slot_args, eps, hi).scale(c)
-    return out
+def _omega_eval(omega: PoleSum, slot_args: Dict[int, Tuple[str, int]], eps: int) -> _Factor:
+    return _sum_factor(
+        [(c, _product_factor(_omega_factors(key, slot_args, eps))) for key, c in omega.items()]
+    )
 
 
-def _bergman_eval(arg1, arg2, eps: int, hi: int) -> ULaurent:
+def _bergman_eval(arg1, arg2, eps: int) -> _Factor:
     """omega_{0,2}/(dz dz) = 1/(a - b)^2 under the same argument scheme."""
     kinds = (arg1, arg2)
     if kinds == (("z", 0), ("invz", 0)) or kinds == (("invz", 0), ("z", 0)):
         # 1/(z - 1/z)^2 = z^2/(z^2-1)^2
         fn = RationalFn([0, 0, 1]) / RationalFn([1, 0, -2, 0, 1])
-        return _expand_ratfn(fn, eps, hi)
+        return _Factor(-2, partial(_expand_ratfn, fn, eps))
     (k1, j1), (k2, j2) = kinds
     if k1 == "passive" and k2 in ("z", "invz"):
         (k1, j1), (k2, j2) = (k2, j2), (k1, j1)
     if k1 in ("z", "invz") and k2 == "passive":
         # 1/(z - z_j)^2, with the sign symmetric in the two arguments
-        return _passive_coupling(j2, eps, 2, hi, at_inverse=(k1 == "invz"))
+        return _Factor(0, partial(_passive_coupling, j2, eps, 2, at_inverse=(k1 == "invz")))
     raise ValueError(f"unsupported Bergman arguments {kinds}")
+
+
+def _integrand_factors(g: int, n: int, eps: int) -> List[_Factor]:
+    """ker1, ker2, jac and the bracket of the residue of omega_{g,n} at z = eps."""
+    # 1/(omega01 - sigma*omega01) = -z^3/(z^2-1)^2, pole of order 2
+    ker1 = _Factor(
+        -2, partial(_expand_ratfn, RationalFn([0, 0, 0, -1]) / RationalFn([1, 0, -2, 0, 1]), eps)
+    )
+    # 1/(z - z1) - 1/(1/z - z1) vanishes at z = eps, where 1/z = z
+    ker2 = _Factor(
+        1, lambda hi: _coupling_direct(eps, hi) + _coupling_sigma(eps, hi).scale(Fraction(-1))
+    )
+    jac = _Factor(0, partial(_expand_ratfn, RationalFn([-1]) / RationalFn([0, 0, 1]), eps))
+    passives = list(range(2, n + 1))
+    bracket: List[_Factor] = []
+    # genus-reduction term omega_{g-1, n+1}(z, sigma z, passives)
+    if g >= 1:
+        if (g - 1, n + 1) == (0, 2):
+            bracket.append(_bergman_eval(("z", 0), ("invz", 0), eps))
+        elif 2 * (g - 1) - 2 + (n + 1) > 0:
+            slot_args = {1: ("z", 0), 2: ("invz", 0)}
+            for idx, j in enumerate(passives):
+                slot_args[3 + idx] = ("passive", j)
+            bracket.append(_omega_eval(tr_omega(g - 1, n + 1).value, slot_args, eps))
+
+    def factor(gi, si, kind) -> _Factor:
+        ni = len(si) + 1
+        if (gi, ni) == (0, 2):
+            return _bergman_eval((kind, 0), ("passive", si[0]), eps)
+        slot_args = {1: (kind, 0)}
+        for idx, j in enumerate(si):
+            slot_args[2 + idx] = ("passive", j)
+        return _omega_eval(tr_omega(gi, ni).value, slot_args, eps)
+
+    # splitting terms, ordered pairs, no omega_{0,1} factors
+    for g1 in range(g + 1):
+        g2 = g - g1
+        for r in range(len(passives) + 1):
+            for s1 in itertools.combinations(passives, r):
+                s2 = tuple(j for j in passives if j not in s1)
+                n1, n2 = len(s1) + 1, len(s2) + 1
+                if 2 * g1 - 2 + n1 <= 0 and (g1, n1) != (0, 2):
+                    continue
+                if 2 * g2 - 2 + n2 <= 0 and (g2, n2) != (0, 2):
+                    continue
+                bracket.append(_product_factor([factor(g1, s1, "z"), factor(g2, s2, "invz")]))
+    return [ker1, ker2, jac, _sum_factor([(Fraction(1), f) for f in bracket])]
 
 
 @lru_cache(maxsize=None)
 def tr_omega(g: int, n: int) -> "OmegaDifferential":
     """omega_{g,n} by the residue recursion on the curve x = z + 1/z, y = 1/z."""
+    if g < 0 or n < 1:
+        raise ValueError(f"tr_omega needs g >= 0 and n >= 1, got ({g},{n})")
     if 2 * g - 2 + n <= 0:
         raise ValueError("tr_omega requires a stable (g, n)")
     value: PoleSum = {}
-    h_budget = 6 * g + 2 * n + 8
-    passives = list(range(2, n + 1))
     for eps in (1, -1):
-        hi = h_budget
-        # 1/(omega01 - sigma*omega01) = -z^3/(z^2-1)^2, pole of order 2
-        ker1 = _expand_ratfn(
-            RationalFn([0, 0, 0, -1]) / RationalFn([1, 0, -2, 0, 1]), eps, hi
-        )
-        ker2 = _coupling_direct(eps, hi) + _coupling_sigma(eps, hi).scale(Fraction(-1))
-        jac = _expand_ratfn(RationalFn([-1]) / RationalFn([0, 0, 1]), eps, hi)
-        bracket = ULaurent({}, hi)
-        # genus-reduction term omega_{g-1, n+1}(z, sigma z, passives)
-        if g >= 1:
-            if (g - 1, n + 1) == (0, 2):
-                bracket = bracket + _bergman_eval(("z", 0), ("invz", 0), eps, hi)
-            elif 2 * (g - 1) - 2 + (n + 1) > 0:
-                prev = tr_omega(g - 1, n + 1).value
-                slot_args = {1: ("z", 0), 2: ("invz", 0)}
-                for idx, j in enumerate(passives):
-                    slot_args[3 + idx] = ("passive", j)
-                bracket = bracket + _omega_eval(prev, slot_args, eps, hi)
-        # splitting terms, ordered pairs, no omega_{0,1} factors
-        for g1 in range(g + 1):
-            g2 = g - g1
-            for r in range(len(passives) + 1):
-                for s1 in itertools.combinations(passives, r):
-                    s2 = tuple(j for j in passives if j not in s1)
-                    n1, n2 = len(s1) + 1, len(s2) + 1
-                    if 2 * g1 - 2 + n1 <= 0 and (g1, n1) != (0, 2):
-                        continue
-                    if 2 * g2 - 2 + n2 <= 0 and (g2, n2) != (0, 2):
-                        continue
-
-                    def factor(gi, si, kind):
-                        ni = len(si) + 1
-                        if (gi, ni) == (0, 2):
-                            return _bergman_eval((kind, 0), ("passive", si[0]), eps, hi)
-                        prev = tr_omega(gi, ni).value
-                        slot_args = {1: (kind, 0)}
-                        for idx, j in enumerate(si):
-                            slot_args[2 + idx] = ("passive", j)
-                        return _omega_eval(prev, slot_args, eps, hi)
-
-                    bracket = bracket + factor(g1, s1, "z") * factor(g2, s2, "invz")
-        integrand = ker1 * ker2 * jac * bracket
+        integrand = _product(_integrand_factors(g, n, eps), -1)
         _elem_add_into(value, integrand.residue(), KERNEL_SCALE)
     return OmegaDifferential(g, n, value)
 

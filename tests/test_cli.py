@@ -161,6 +161,10 @@ def test_export_correlator_json(tmp_path):
         ("export", "--what", "maps", "--v4", "-1"),
         ("export", "--what", "maps", "--v2", "-1"),
         ("tr", "--g", "0", "--n", "3", "--order", "-1"),
+        ("tr", "--g", "-1", "--n", "5"),
+        ("export", "--what", "omega", "--g", "-1", "--n", "5"),
+        ("verify", "--suites", "tr", "--order", "-1"),
+        ("verify", "--suites", "loop", "--order", "-3"),
         ("--threads", "0", "zfun", "--dmax", "1"),
         ("--threads", "-1", "zfun", "--dmax", "1"),
     ],

@@ -1,3 +1,7 @@
+import ast
+import hashlib
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +33,24 @@ def test_star_coefficients():
 @pytest.mark.parametrize("g,n", [(0, 1), (0, 2), (1, 1), (0, 3)])
 def test_loop_equation(g, n):
     assert sp.loop_check(g, n, 8) == []
+
+
+def test_loop_check_detects_a_bumped_coefficient(monkeypatch):
+    cap = 8
+    real = sp.laplace_W
+
+    def bumped(g, n, c):
+        w = real(g, n, c)
+        if (g, n) != (0, 3):
+            return w
+        alpha = min(a for a in w.coeffs if sum(a) <= cap - n + 1)
+        return sp.CorrelatorSeries(g, n, c, {**w.coeffs, alpha: w.coeffs[alpha] + 1})
+
+    monkeypatch.setattr(sp, "laplace_W", bumped)
+    findings = sp.loop_check(0, 3, cap)
+    assert findings
+    exps = [ast.literal_eval(re.search(r"exponent (\(.*?\))", f).group(1)) for f in findings]
+    assert exps == sorted(exps)
 
 
 def test_disc_equation_is_loop_equation_at_01():
@@ -69,9 +91,61 @@ def test_tr_omega11_closed_form():
     assert om.pole_locations() == {1, -1}
 
 
-@pytest.mark.parametrize("g,n,hi", [(0, 3, 8), (1, 1, 9), (0, 4, 6), (1, 2, 6)])
+@pytest.mark.parametrize(
+    "g,n,hi", [(0, 3, 8), (1, 1, 9), (0, 4, 6), (1, 2, 6), (2, 1, 6), (1, 3, 6), (0, 5, 6)]
+)
 def test_tr_agreement(g, n, hi):
     assert sp.tr_agreement_check(g, n, hi) == []
+
+
+# sha256 of json.dumps(tr_omega(g, n).to_json_dict(), sort_keys=True), pinned
+# from the recursion that expanded every factor to u^(6g + 2n + 8)
+OMEGA_DIGESTS = {
+    (0, 3): "c425c3f75a4b6a6af96d850c9062afb9080c4141b56cae6a456809594ba62fd7",
+    (1, 1): "399c93fc45c6356a071bdee65d447f643ec144c95048bd42a40f794f59f60c57",
+    (0, 4): "873a7a6726d9e4fe5602a3435eb885a0eb2cb5dd46dc64e43e24aa370c18d722",
+    (1, 2): "0abbb6cf7cf3f8afd0135f606db331920c0335c01a36565f643a9a584548073f",
+    (2, 1): "1522b19d6c499e89ebed325cb56f51cabd2f024cebf206d4a8ebdab3f1b7a1e2",
+    (1, 3): "e15f44d1c9dc949e5cc99214be3975154c161a3539b26858044ca620b8291a48",
+    (0, 5): "88c6bc82fbbb5b9845caea455bbda6733ae390356134a0031144926d95ea2be8",
+    (2, 2): "7416f28e76baac0beb5751fdb0fe0e5f26431e9ae21683fdb4140d9bab50230c",
+}
+
+
+@pytest.mark.parametrize("g,n", list(OMEGA_DIGESTS))
+def test_tr_omega_golden(g, n):
+    text = json.dumps(sp.tr_omega(g, n).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == OMEGA_DIGESTS[(g, n)]
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("g,n", list(OMEGA_DIGESTS))
+def test_integrand_factor_orders_are_lower_bounds(g, n, eps):
+    # each factor at the window the residue gives it, as in tr_omega
+    factors = sp._integrand_factors(g, n, eps)
+    total = sum(f.order for f in factors)
+    for f in factors:
+        series = f.expand(-1 - total + f.order)
+        assert series.coeffs and min(series.coeffs) >= f.order
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (1, 3)])
+def test_pole_factor_orders_are_lower_bounds(g, n, eps):
+    passive = {s: ("passive", s) for s in range(3, n + 1)}
+    assignments = [{1: ("z", 0), 2: ("invz", 0)}, {1: ("invz", 0), 2: ("z", 0)}]
+    factors = [
+        sp._bergman_eval(("z", 0), ("invz", 0), eps),
+        sp._bergman_eval(("z", 0), ("passive", 2), eps),
+        sp._bergman_eval(("passive", 2), ("invz", 0), eps),
+    ]
+    for slots in assignments:
+        args = {**slots, **passive} if n >= 2 else {1: slots[1]}
+        for key in sp.tr_omega(g, n).value:
+            factors.extend(sp._omega_factors(key, args, eps))
+    for f in factors:
+        series = f.expand(f.order + 2)
+        assert series.coeffs and min(series.coeffs) >= f.order
 
 
 def test_tr_omega03_symmetric():
@@ -83,6 +157,12 @@ def test_tr_omega03_symmetric():
 def test_tr_rejects_unstable():
     with pytest.raises(ValueError):
         sp.tr_omega(0, 2)
+
+
+@pytest.mark.parametrize("g,n", [(-1, 5), (2, 0), (0, -1)])
+def test_tr_rejects_negative_genus_and_no_points(g, n):
+    with pytest.raises(ValueError):
+        sp.tr_omega(g, n)
 
 
 def test_tree_series_and_norbury_substitution():
