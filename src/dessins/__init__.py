@@ -56,7 +56,6 @@ from .maps import (
     count_dessins,
     directed_maps,
     lattice_points,
-    lattice_points_directed,
     norbury_N,
 )
 from .opmatrix import KernelBlock, adjoint_check, cutjoin_matrix_check, kernel_block

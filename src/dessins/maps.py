@@ -24,7 +24,8 @@ the tables fix one pattern (+ on even cycle positions), let s1 range over the
 (N/2)! bijections from the + darts to the - darts, each of which is a
 direction by construction, and multiply every count by 2^v.  For a map
 with k components and Euler characteristic chi the total genus is
-(2k - chi)/2.
+(2k - chi)/2.  That one walk, ``sign_pattern_maps``, feeds both the count
+tables here and the kernel structures of ``opmatrix``.
 
 This module is the ground truth the operator routes are tested against; it
 must stay independent of them, so it shares no code with the Fock-space
@@ -180,23 +181,6 @@ class DirectedMap:
     def n_minus(self) -> int:
         return sum(1 for s in self.face_sign if s < 0)
 
-    def edges(self) -> List[Tuple[int, int]]:
-        """(positive face index, negative face index) per edge."""
-        face_of = {}
-        for i, f in enumerate(self.faces):
-            for d in f:
-                face_of[d] = i
-        out = []
-        for d in range(len(self.s0)):
-            e = self.s1[d]
-            if d < e:
-                fd, fe = face_of[d], face_of[e]
-                if self.eps[d] > 0:
-                    out.append((fd, fe))
-                else:
-                    out.append((fe, fd))
-        return out
-
 
 def directed_maps(
     valences: Sequence[int], connected_only: bool = True, budget: int = DEFAULT_DART_BUDGET
@@ -291,24 +275,24 @@ def configure_threads(threads: int) -> None:
     _SCAN_THREADS = threads
 
 
-def _scan_slice(
-    valences: Tuple[int, ...], connected_only: bool, first_image: int
-) -> Dict[TableKey, int]:
-    """Count one slice of the directed maps on the fixed sign pattern.
+def sign_pattern_maps(
+    valences: Sequence[int], connected_only: bool, first_image: int
+) -> Iterator[Tuple[List[int], int, List[Tuple[int, ...]]]]:
+    """Walk one slice of the directed maps on the fixed sign pattern.
 
     All valences are even, so every cycle of the canonical s0 starts at an
     even dart and the pattern with + on even cycle positions is + on the
     even darts.  ``s1`` pairs the even darts with the odd darts bijectively,
     so every map is directed by construction; the slice holds the
-    bijections sending dart 0 to ``first_image``.  Keys are (total genus,
-    n_minus, sorted positive perimeters); counts are per sign pattern.
+    bijections sending dart 0 to ``first_image``.  Yields (s1, number of
+    components, faces) per map, skipping disconnected maps when
+    ``connected_only`` is set.  ``s1`` is one list updated in place, valid
+    until the next step.  A face's sign is the sign of any of its darts.
     """
     n = sum(valences)
     s0 = canonical_s0(valences)
-    n_vert = len(valences)
     s1 = [0] * n
     s1[0], s1[first_image] = first_image, 0
-    table: Dict[TableKey, int] = {}
     rest = [m for m in range(1, n, 2) if m != first_image]
     for images in itertools.permutations(rest):
         for p, m in zip(range(2, n, 2), images):
@@ -317,8 +301,18 @@ def _scan_slice(
         n_comp = len(set(components(s0, s1)))
         if connected_only and n_comp > 1:
             continue
-        faces = face_orbits(s0, s1)
-        # a face's sign is the sign of any of its darts: + on even darts
+        yield s1, n_comp, face_orbits(s0, s1)
+
+
+def _scan_slice(
+    valences: Tuple[int, ...], connected_only: bool, first_image: int
+) -> Dict[TableKey, int]:
+    """Count one slice of the sign-pattern walk.  Keys are (total genus,
+    n_minus, sorted positive perimeters); counts are per sign pattern."""
+    n = sum(valences)
+    n_vert = len(valences)
+    table: Dict[TableKey, int] = {}
+    for _s1, n_comp, faces in sign_pattern_maps(valences, connected_only, first_image):
         pos_perims = tuple(sorted(len(f) for f in faces if f[0] % 2 == 0))
         chi = n_vert - n // 2 + len(faces)
         key = ((2 * n_comp - chi) // 2, len(faces) - len(pos_perims), pos_perims)
@@ -424,32 +418,6 @@ def lattice_points(
         return total
 
     return rec(0)
-
-
-def lattice_points_directed(dm: DirectedMap, beta_plus: Sequence[int], beta_minus: Sequence[int]) -> int:
-    """P-bar of a directed map: labelings in N^edges with per-face sums beta.
-
-    ``beta_plus`` / ``beta_minus`` are indexed by the positive/negative faces
-    of ``dm`` in their face-list order.
-    """
-    pos_idx = [i for i, s in enumerate(dm.face_sign) if s > 0]
-    neg_idx = [i for i, s in enumerate(dm.face_sign) if s < 0]
-    if len(beta_plus) != len(pos_idx) or len(beta_minus) != len(neg_idx):
-        raise ValueError("beta vectors must match the signed face counts")
-    remap = {}
-    targets = []
-    for i, b in zip(pos_idx + neg_idx, list(beta_plus) + list(beta_minus)):
-        remap[i] = len(targets)
-        targets.append(b)
-    if sum(beta_plus) != sum(beta_minus):
-        return 0
-    incidence = []
-    for fp, fn in dm.edges():
-        inc: Dict[int, int] = {}
-        inc[remap[fp]] = inc.get(remap[fp], 0) + 1
-        inc[remap[fn]] = inc.get(remap[fn], 0) + 1
-        incidence.append(inc)
-    return lattice_points(incidence, targets, min_value=0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,21 @@ quadrivalent directed maps R of that type and their lattice-point counts:
 
 so a nonzero entry forces d(a+) = d(a-) + 2 d_{g,n+,n-} (the lattice offset
 a+(R) has degree 2 d).  The sum over R with both boundary labelings fixed is
-evaluated as a free sum over labeled structures divided by the centralizer
-order of the canonical vertex rotation.
+a free sum over labeled structures divided by the centralizer order |Z(s0)|
+of the canonical vertex rotation.  The structures come from the sign-pattern
+walk of ``maps`` (+ on the even darts); the centralizer carries that pattern
+onto each of the 2^d patterns of the d vertices, so every count is scaled by
+2^d.  For one structure the lattice counts of all face sums at once are the
+coefficients of the edge generating function
+
+    sum_beta Pbar(beta+ | beta-) x^beta+ y^beta- = prod_e 1/(1 - x_{f+(e)} y_{f-(e)}),
+
+expanded through total degree cap - 2d.  Each coefficient is added to the
+sorted key (sort(beta+ + a+(R)), sort(beta-)), which counts every distinct
+ordering of both boundaries once; the sum over all labelings counts it
+mu(a+)! mu(a-)! times, so with acc the accumulated coefficients
+
+    K[a+|a-] = prod(a+) mu(a+)! mu(a-)! 2^d acc[a+|a-] / (n-! |Z(s0)|).
 
 From the blocks one can assemble the full degree-d layer of the evolution
 operator as a differential operator
@@ -26,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,45 +89,75 @@ class KernelBlock:
         }
 
 
+def _edge_series(
+    edges: Sequence[Tuple[int, int]], n_faces: int, top: int
+) -> Dict[Tuple[int, ...], int]:
+    """Coefficients of prod_e 1/(1 - x_{f+(e)} y_{f-(e)}) through total
+    degree ``top``: face-sum vector -> number of edge labelings in N^edges
+    with those face sums.  Each edge raises one + and one - face, so a
+    vector's total degree is half its entry sum."""
+    series = {(0,) * n_faces: 1}
+    for fp, fm in edges:
+        out = dict(series)
+        for mono, c in series.items():
+            m = list(mono)
+            for _ in range(top - sum(mono) // 2):
+                m[fp] += 1
+                m[fm] += 1
+                key = tuple(m)
+                out[key] = out.get(key, 0) + c
+        series = out
+    return series
+
+
+def _structures(
+    d: int, n_plus: int, n_minus: int
+) -> Iterator[Tuple[List[Tuple[int, int]], List[int]]]:
+    """(edges, positive perimeters) of each connected quadrivalent structure
+    with d vertices, n_plus positive and n_minus negative faces on the fixed
+    sign pattern.  Faces are numbered positive first, then negative; each
+    edge is (face of its even dart, face of its odd dart)."""
+    valences = (4,) * d
+    n = sum(valences)
+    if n > maps.DEFAULT_DART_BUDGET:
+        raise maps.BudgetExceeded(f"{n} darts exceed budget {maps.DEFAULT_DART_BUDGET}")
+    for first_image in range(1, n, 2):
+        for s1, _, faces in maps.sign_pattern_maps(valences, True, first_image):
+            # connected with d vertices and 2d edges: the face counts fix the genus
+            pos = [f for f in faces if f[0] % 2 == 0]
+            neg = [f for f in faces if f[0] % 2]
+            if len(pos) != n_plus or len(neg) != n_minus:
+                continue
+            slot = [0] * n
+            for i, f in enumerate(pos + neg):
+                for dart in f:
+                    slot[dart] = i
+            yield [(slot[p], slot[s1[p]]) for p in range(0, n, 2)], [len(f) for f in pos]
+
+
 @lru_cache(maxsize=None)
 def kernel_block(g: int, n_plus: int, n_minus: int, cap: int) -> KernelBlock:
     d = euler_degree(g, n_plus, n_minus)
     if d <= 0 or g < 0 or n_plus < 1 or n_minus < 1:
         raise ValueError("stability 2g - 2 + n+ + n- > 0 required")
-    entries: Dict[Tuple[MultiIndex, MultiIndex], Fraction] = {}
     if cap < 2 * d:
-        warnings.warn(
-            f"cap {cap} below the minimal degree {2 * d} of the ({g},{n_plus},{n_minus})"
-            " block; returning an empty block",
-            stacklevel=2,
+        raise ValueError(
+            f"--cap {cap} is below the minimal degree {2 * d} of the "
+            f"({g},{n_plus},{n_minus}) block"
         )
-        return KernelBlock(g, n_plus, n_minus, cap, entries)
-    valences = (4,) * d
-    denom = factorial(n_minus) * maps.centralizer_order(valences)
-    structures = []
-    for dm in maps.directed_maps(valences, connected_only=True):
-        if dm.total_genus != g:
-            continue
-        pos = [i for i, s in enumerate(dm.face_sign) if s > 0]
-        neg = [i for i, s in enumerate(dm.face_sign) if s < 0]
-        if len(pos) != n_plus or len(neg) != n_minus:
-            continue
-        structures.append((dm, pos, neg))
-    for dtot in range(2 * d, cap + 1):
-        for a_plus in sorted_multi(dtot, n_plus, minimum=1):
-            for a_minus in sorted_multi(dtot - 2 * d, n_minus, minimum=0):
-                total = Fraction(0)
-                for dm, pos, neg in structures:
-                    perims = [len(dm.faces[i]) for i in pos]
-                    for lp in itertools.permutations(range(n_plus)):
-                        beta_plus = [a_plus[lp[j]] - perims[j] for j in range(n_plus)]
-                        if any(b < 0 for b in beta_plus):
-                            continue
-                        for lm in itertools.permutations(range(n_minus)):
-                            beta_minus = [a_minus[lm[j]] for j in range(n_minus)]
-                            total += maps.lattice_points_directed(dm, beta_plus, beta_minus)
-                if total:
-                    entries[(a_plus, a_minus)] = Fraction(math.prod(a_plus), denom) * total
+    # (sorted a+, sorted a-) -> sum of Pbar over the structures and over the
+    # distinct orderings of both boundaries
+    acc: Dict[Tuple[MultiIndex, MultiIndex], int] = {}
+    for edges, perims in _structures(d, n_plus, n_minus):
+        for beta, c in _edge_series(edges, n_plus + n_minus, cap - 2 * d).items():
+            a_plus = tuple(sorted(b + p for b, p in zip(beta, perims)))
+            key = (a_plus, tuple(sorted(beta[n_plus:])))
+            acc[key] = acc.get(key, 0) + c
+    scale = Fraction(1 << d, factorial(n_minus) * maps.centralizer_order((4,) * d))
+    entries = {
+        (ap, am): math.prod(ap) * mu_factorial(ap) * mu_factorial(am) * total * scale
+        for (ap, am), total in sorted(acc.items())
+    }
     return KernelBlock(g, n_plus, n_minus, cap, entries)
 
 
@@ -269,6 +311,8 @@ def _v_matrix(block: KernelBlock) -> Dict[Tuple[MultiIndex, MultiIndex], Fractio
 def adjoint_check(g: int, n_plus: int, n_minus: int, cap: int) -> List[str]:
     """Verify (f, V_{g,n+,n-} h) = (V_{g,n-,n+} f, h) on the partition basis."""
     d = euler_degree(g, n_plus, n_minus)
+    if cap < 2 * d:
+        return []
     fwd = _v_matrix(kernel_block(g, n_plus, n_minus, cap))
     bwd = _v_matrix(kernel_block(g, n_minus, n_plus, cap))
     findings = []

@@ -173,9 +173,9 @@ def test_criterion_06_commuting_flows():
 
 def test_criterion_07_matrix_cut_and_join():
     t0 = time.time()
-    assert opmatrix.cutjoin_matrix_check(2, 8) == []
-    assert opmatrix.vacuum_consistency_check(2, 8) == []
-    _report(7, "d K_d = (W1 K)_d entrywise for d <= 2 from enumeration data", t0)
+    assert opmatrix.cutjoin_matrix_check(3, 8) == []
+    assert opmatrix.vacuum_consistency_check(3, 8) == []
+    _report(7, "d K_d = (W1 K)_d entrywise for d <= 3 from enumeration data", t0)
 
 
 def test_criterion_08_loop_equation():
@@ -206,7 +206,13 @@ def test_criterion_11_adjointness():
     assert opmatrix.adjoint_check(0, 2, 1, 6) == []
     assert opmatrix.adjoint_check(0, 1, 2, 6) == []
     assert opmatrix.adjoint_check(0, 2, 2, 6) == []
-    _report(11, "Gram adjointness for (0,2,1)/(0,1,2) and self-adjoint (0,2,2)", t0)
+    assert opmatrix.adjoint_check(0, 3, 2, 10) == []
+    assert opmatrix.adjoint_check(1, 2, 1, 10) == []
+    _report(
+        11,
+        "Gram adjointness for (0,2,1)/(0,1,2), self-adjoint (0,2,2), and (0,3,2), (1,2,1) to cap 10",
+        t0,
+    )
 
 
 def test_criterion_12_norbury_substitution():

@@ -174,15 +174,29 @@ def test_bad_input_exits_usage_with_message(argv):
     _assert_usage_error(argv, {})
 
 
+def test_kernel_over_budget_exits_budget_with_message():
+    # (0,4,3) needs 20 darts, over the fixed 16-dart budget
+    argv = ("export", "--what", "kernel", "--g", "0", "--nplus", "4", "--nminus", "3", "--cap", "10")
+    proc = _run_module(argv, {})
+    assert proc.returncode == cli.EXIT_BUDGET
+    assert "error: budget exceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_bad_threads_env_exits_usage_with_message():
     _assert_usage_error(("zfun", "--dmax", "1"), {"DESSINS_THREADS": "x"})
 
 
-def _assert_usage_error(argv, extra_env):
+def _run_module(argv, extra_env):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **extra_env}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "dessins.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def _assert_usage_error(argv, extra_env):
+    proc = _run_module(argv, extra_env)
     assert proc.returncode == cli.EXIT_USAGE
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr

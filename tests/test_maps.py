@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dessins import maps
+from dessins import maps, opmatrix
 
 
 def test_count_dessins_spec_examples():
@@ -130,18 +130,17 @@ def test_orbit_stabilizer_consistency_small():
 
 
 def test_lattice_points_examples():
-    x = maps.EnumSpec(1, 0, 1, 2, (2,), g=0)
-    dms = [
-        dm
-        for dm in maps.directed_maps((4,), connected_only=True)
-        if dm.n_minus == 2 and dm.pos_perims == (2,)
-    ]
-    assert dms
-    dm = dms[0]
-    assert maps.lattice_points_directed(dm, (0,), (0, 0)) == 1  # all-zero targets
-    assert maps.lattice_points_directed(dm, (3,), (1, 2)) == 1  # forced labeling
-    assert maps.lattice_points_directed(dm, (5,), (2, 3)) == 1
-    assert maps.lattice_points_directed(dm, (1,), (2, 0)) == 0  # unbalanced
+    # the (0,1,2) structure: one + face of perimeter 2, two - faces, and
+    # each edge joins the + face to one - face
+    structures = list(opmatrix._structures(1, 1, 2))
+    assert structures
+    edges, perims = structures[0]
+    assert perims == [2]
+    table = opmatrix._edge_series(edges, 3, 5)
+    assert table[(0, 0, 0)] == 1  # all-zero targets
+    assert table[(3, 1, 2)] == 1  # forced labeling
+    assert table[(5, 2, 3)] == 1
+    assert (1, 2, 0) not in table  # unbalanced
 
 
 def test_lattice_points_single_edge_forced():

@@ -1,11 +1,16 @@
+import hashlib
+import itertools
 import json
+import math
 from fractions import Fraction
 
+import pytest
 
+from dessins import maps
 from dessins import operators as ops
 from dessins import opmatrix as om
 from dessins import partition as pt
-from dessins.series import Poly
+from dessins.series import Poly, sorted_multi
 
 
 def test_pair_of_pants_blocks_match_operator_structure_constants():
@@ -36,23 +41,17 @@ def test_block_symmetry_under_entry_access():
     assert b2.value((3, 1), (0, 2)) == b2.value((1, 3), (2, 0))
 
 
-def test_cap_below_minimal_degree_warns_and_gives_empty_block():
-    import warnings
-
-    om.kernel_block.cache_clear()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        b = om.kernel_block(0, 2, 1, 1)
-    assert b.entries == {}
-    assert any("minimal degree" in str(w.message) for w in caught)
+def test_cap_below_minimal_degree_raises():
+    with pytest.raises(ValueError, match="minimal degree 2"):
+        om.kernel_block(0, 2, 1, 1)
 
 
 def test_cutjoin_matrix_check_passes():
-    assert om.cutjoin_matrix_check(2, 8) == []
+    assert om.cutjoin_matrix_check(3, 8) == []
 
 
 def test_vacuum_consistency():
-    assert om.vacuum_consistency_check(2, 8) == []
+    assert om.vacuum_consistency_check(3, 8) == []
 
 
 def test_degree_one_operator_equals_w1_on_window():
@@ -67,6 +66,8 @@ def test_adjointness_pair_and_self():
     assert om.adjoint_check(0, 2, 1, 6) == []
     assert om.adjoint_check(0, 1, 2, 6) == []
     assert om.adjoint_check(0, 2, 2, 6) == []
+    assert om.adjoint_check(0, 3, 2, 10) == []
+    assert om.adjoint_check(1, 2, 1, 10) == []
 
 
 def test_adjoint_vacuous_below_degree():
@@ -83,3 +84,84 @@ def test_json_export_roundtrip():
         (tuple(e["alpha_plus"]), tuple(e["alpha_minus"])): e["value"] for e in back["entries"]
     }
     assert entries[((2,), (0, 0))] == "1"
+
+
+def _reference_block(g, n_plus, n_minus, cap):
+    """Entries summed as written in the module docstring: every directed map
+    over all N!! involutions (``directed_maps``), every labeling of both
+    boundaries, one ``lattice_points`` search per labeled face-sum vector."""
+    d = om.euler_degree(g, n_plus, n_minus)
+    valences = (4,) * d
+    structures = []
+    for dm in maps.directed_maps(valences, connected_only=True):
+        pos = [i for i, s in enumerate(dm.face_sign) if s > 0]
+        neg = [i for i, s in enumerate(dm.face_sign) if s < 0]
+        if dm.total_genus != g or len(pos) != n_plus or len(neg) != n_minus:
+            continue
+        face_of = {dart: i for i, f in enumerate(dm.faces) for dart in f}
+        incidence = [
+            {face_of[p]: 1, face_of[dm.s1[p]]: 1} for p in range(len(dm.s0)) if dm.eps[p] > 0
+        ]
+        structures.append((incidence, pos, neg, [len(dm.faces[i]) for i in pos]))
+    denom = math.factorial(n_minus) * maps.centralizer_order(valences)
+    entries = {}
+    for dtot in range(2 * d, cap + 1):
+        for a_plus in sorted_multi(dtot, n_plus, minimum=1):
+            for a_minus in sorted_multi(dtot - 2 * d, n_minus, minimum=0):
+                total = 0
+                for incidence, pos, neg, perims in structures:
+                    for lp in itertools.permutations(a_plus):
+                        for lm in itertools.permutations(a_minus):
+                            targets = [0] * (n_plus + n_minus)
+                            for i, a, p in zip(pos, lp, perims):
+                                targets[i] = a - p
+                            for i, a in zip(neg, lm):
+                                targets[i] = a
+                            if min(targets) >= 0:
+                                total += maps.lattice_points(incidence, targets)
+                if total:
+                    entries[(a_plus, a_minus)] = Fraction(math.prod(a_plus) * total, denom)
+    return entries
+
+
+@pytest.mark.parametrize(
+    "g,n_plus,n_minus",
+    [(0, 1, 2), (0, 2, 1), (0, 2, 2), (0, 3, 1), (1, 1, 1), (0, 1, 3), (1, 1, 2)],
+)
+def test_kernel_block_matches_reference(g, n_plus, n_minus):
+    want = _reference_block(g, n_plus, n_minus, 8)
+    assert want
+    assert om.kernel_block(g, n_plus, n_minus, 8).entries == want
+
+
+def test_edge_series_equals_lattice_points_on_every_structure():
+    top = 4
+    structures = list(om._structures(2, 2, 2))
+    assert structures
+    for edges, _perims in structures:
+        table = om._edge_series(edges, 4, top)
+        incidence = [{fp: 1, fm: 1} for fp, fm in edges]
+        for beta in itertools.product(range(top + 1), repeat=4):
+            if sum(beta[:2]) > top or sum(beta[2:]) > top:
+                continue
+            assert table.get(beta, 0) == maps.lattice_points(incidence, list(beta)), beta
+
+
+# sha256 of json.dumps(kernel_block(...).to_json_dict(), sort_keys=True),
+# pinned from the per-labeling lattice-point search the blocks were first
+# computed with
+KERNEL_DIGESTS = {
+    (0, 1, 2, 8): "07b5a598a276066235c79ae6ac05fbf328bddce1fa700465cac9d8ff52c77419",
+    (0, 2, 1, 8): "8ed6c736268f23fd970fed76673193bd42f4d06dad359230eb67d31e152258ce",
+    (0, 2, 2, 8): "e79553cc5ade20d964f84d434873aec1fa5f31cae5060ec8b3cc2a087dea3204",
+    (0, 3, 1, 8): "17fef343a33fa23cd417af9f0d391cab0741811045dda383c85ebbe74518941f",
+    (1, 1, 1, 8): "53e9ba29131b8d34afcd579b08014a155afcd9970c998fe76f667aeda375e1ff",
+    (0, 3, 2, 10): "acda13014454a04d96640d267f7ae5a36c70c4f042ef58d4c03a86ad1ff6c2ba",
+    (1, 2, 1, 10): "c4c255aed9c7e4de9e1845c5f48afe15420112ab4cc1c3baf33d8987df92655f",
+}
+
+
+@pytest.mark.parametrize("block", sorted(KERNEL_DIGESTS), ids=str)
+def test_kernel_block_golden(block):
+    text = json.dumps(om.kernel_block(*block).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGESTS[block]
