@@ -52,6 +52,11 @@ EXIT_RESIDUAL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# deepest flow a zfun, counts or export-counts request may run, in q-order
+# m + d of its top layer; every flow of depth 10 takes at most about 2 s on a
+# 2-core 2.1 GHz VM, and each step deeper roughly doubles the time
+FLOW_DEPTH_BUDGET = 10
+
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
@@ -79,7 +84,15 @@ def _usage_error(msg: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_flow_depth(d: int, m: int = 0):
+    if d + m > FLOW_DEPTH_BUDGET:
+        raise maps.BudgetExceeded(
+            f"flow depth {d + m} (q0^{m} q1^{d}) exceeds budget {FLOW_DEPTH_BUDGET}"
+        )
+
+
 def cmd_zfun(args) -> int:
+    _check_flow_depth(args.dmax, args.dmax0 if args.bivalent else 0)
     if args.bivalent:
         z = pt.partition_function_bivalent(args.dmax0, args.dmax, with_marker=args.marker)
     else:
@@ -105,6 +118,7 @@ def cmd_zfun(args) -> int:
 
 def _connected_series(d: int, m: int) -> pt.QSeries:
     """Connected marked series to quadrivalent depth ``d`` with ``m`` bivalent vertices."""
+    _check_flow_depth(d, m)
     z = (
         pt.partition_function(d, with_marker=True)
         if m == 0
@@ -213,6 +227,9 @@ def _suite_adjoint(args) -> List[str]:
     return out
 
 
+TUTTE_CONNECTED_SUM_MAX = 14
+
+
 def _suite_tutte(args) -> List[str]:
     out = []
     z = pt.partition_function(min(args.dmax, 4))
@@ -222,6 +239,13 @@ def _suite_tutte(args) -> List[str]:
             parts = mono.partition()
             if tutte.r_tilde_nc(parts, d) != coeff * mu_factorial(parts):
                 out.append(f"layer {d} monomial {mono.as_str()}: tutte route disagrees")
+    # the connected series against the connected recursion on every stable
+    # key with sum(alpha) <= 14 (506 keys), past the brute-force window
+    s_max = TUTTE_CONNECTED_SUM_MAX
+    c = pt.connected(pt.partition_function(s_max // 2, with_marker=True))
+    for key in _oracle_keys(s_max):
+        if tutte.r_tilde(key.g, key.n_plus, key.alpha) != prod(key.alpha) * pt.count(c, key):
+            out.append(f"{key}: tutte route != connected series")
     return out
 
 
@@ -384,6 +408,7 @@ def cmd_export(args) -> int:
             return _usage_error("--s-max must be >= 0")
         if args.nplus < 0:
             return _usage_error("--nplus must be >= 0")
+        _check_flow_depth(args.s_max // 2)
         rows = []
         for tot in range(2, args.s_max + 1, 2):
             c = _connected_series(tot // 2, 0)

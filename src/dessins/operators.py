@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, perm
+from math import comb, lcm, perm
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .series import MONO_ONE, Monomial, Poly
@@ -68,29 +68,35 @@ GenFn = Callable[[Support], Iterator[DiffTerm]]
 
 
 # one group of an operator's terms: the shared derivative, its weighted
-# degree and the (coeff, mono) pairs that multiply it
-TermGroup = Tuple[Ders, int, Tuple[Tuple[Fraction, Monomial], ...]]
+# degree and the (numerator, mono) pairs that multiply it; each numerator is
+# over the denominator of the whole table
+TermGroup = Tuple[Ders, int, Tuple[Tuple[int, Monomial], ...]]
 
 
 @dataclass(frozen=True)
 class _TermTable:
     """The terms of ``gen(support)`` grouped by derivative; each group is
-    keyed by its first derivative variable, the derivative-free one by None."""
+    keyed by its first derivative variable, the derivative-free one by None.
+    Coefficients are stored as integer numerators over ``den``, the lcm of
+    their denominators."""
 
     support: Support
     groups: Dict[int | None, Tuple[TermGroup, ...]]
+    den: int
 
     @classmethod
     def build(cls, op: "DiffOp", support: Support) -> "_TermTable":
         by_ders: Dict[Ders, List[Tuple[Fraction, Monomial]]] = {}
         for t in op.terms(support):
             by_ders.setdefault(t.ders, []).append((t.coeff, t.mono))
+        den = lcm(*(c.denominator for entries in by_ders.values() for c, _ in entries))
         groups: Dict[int | None, List[TermGroup]] = {}
         for ders, entries in by_ders.items():
             key = ders[0][0] if ders else None
             weight = sum(i * e for i, e in ders)
-            groups.setdefault(key, []).append((ders, weight, tuple(entries)))
-        return cls(support, {k: tuple(v) for k, v in groups.items()})
+            nums = tuple((c.numerator * (den // c.denominator), mono) for c, mono in entries)
+            groups.setdefault(key, []).append((ders, weight, nums))
+        return cls(support, {k: tuple(v) for k, v in groups.items()}, den)
 
 
 @dataclass(frozen=True)
@@ -177,9 +183,15 @@ def apply(op: DiffOp, p: Poly, cap_d: int | None = None) -> Poly:
         raise ValueError(
             f"input trusted to degree {p.cap} but degree {cap_d - op.min_shift} needed"
         )
-    groups = op.term_table(Support(p.max_degree, p.max_t0)).groups
-    out: Dict[Monomial, Fraction] = {}
-    for m, c in p.terms.items():
+    if p.cap is None:
+        cap = cap_d
+    else:
+        cap = p.cap + op.min_shift if cap_d is None else min(cap_d, p.cap + op.min_shift)
+    table = op.term_table(Support(p.max_degree, p.max_t0))
+    groups = table.groups
+    nums, den = p.lifted()
+    acc: Dict[Monomial, int] = {}
+    for m, c in nums.items():
         # a group can act on m only if m has its first derivative variable
         for key in (None, *(k for k, _ in m.exps)):
             for ders, weight, entries in groups.get(key, ()):
@@ -192,21 +204,11 @@ def apply(op: DiffOp, p: Poly, cap_d: int | None = None) -> Poly:
                 else:
                     dm, cm = m, c
                 for coeff, mono in entries:
-                    if cap_d is not None and dm.degree + mono.degree > cap_d:
+                    if cap is not None and dm.degree + mono.degree > cap:
                         continue
                     nm = dm.mul(mono)
-                    val = cm * coeff
-                    if nm in out:
-                        val += out[nm]
-                    if val:
-                        out[nm] = val
-                    else:
-                        out.pop(nm, None)
-    if p.cap is None:
-        cap = cap_d
-    else:
-        cap = p.cap + op.min_shift if cap_d is None else min(cap_d, p.cap + op.min_shift)
-    return Poly(out, cap)
+                    acc[nm] = acc.get(nm, 0) + cm * coeff
+    return Poly.from_numerators(acc, den * table.den, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,14 @@ with d = 2g - 2 + n+ + n- and sum(alpha) = 2d (+ m in the bivalent case).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Dict, List, Tuple
 
 from . import operators as ops
-from .series import MARKER_NEG, Monomial, Poly, mu_factorial
+from .series import MARKER_NEG, Monomial, Poly, _cap_min, accumulate_product, mu_factorial
 
 
 @dataclass
@@ -96,37 +97,47 @@ def partition_function_bivalent(
 
 
 def connected(z: QSeries) -> QSeries:
-    """Bi-graded logarithm; layer (m, d) collects connected counts."""
+    """Bi-graded logarithm F = log Z; layer (m, d) collects connected counts.
+
+    With the weight w(m, d) = m + d, the Euler operator q0 d/dq0 + q1 d/dq1
+    applied to Z = exp F gives w(k) Z_k = sum_{0 < j <= k} w(j) F_j Z_{k-j}
+    componentwise, hence the recurrence
+
+        F_k = Z_k - sum_{0 < j < k} (w(j) / w(k)) F_j Z_{k-j}
+
+    over the rectangle m <= m_max, d <= d_max of ``z``: one product per pair
+    (j, k - j).  Every F_j it reads has j < k componentwise, so the layers
+    are filled in lexicographic order of (m, d).  Each layer is summed in
+    integer numerators over one common denominator.
+    """
     if z.layer(0, 0).constant_term() != 1 or len(z.layer(0, 0).terms) != 1:
         raise ValueError("layer (0,0) must equal 1")
-    u = {k: (p - Poly.one() if k == (0, 0) else p) for k, p in z.layers.items()}
-    u.pop((0, 0), None)
-    m_max, d_max = z.m_max, z.d_max
-    total_max = m_max + d_max
-
-    def convolve(a, b):
-        out: Dict[Tuple[int, int], Poly] = {}
-        for (m1, d1), p1 in a.items():
-            for (m2, d2), p2 in b.items():
-                m, d = m1 + m2, d1 + d2
-                if m > m_max or d > d_max:
-                    continue
-                q = p1 * p2
-                out[(m, d)] = out[(m, d)] + q if (m, d) in out else q
-        return out
-
-    acc: Dict[Tuple[int, int], Poly] = {}
-    power = {(0, 0): Poly.one()}
-    for k in range(1, total_max + 1):
-        power = convolve(power, u)
-        if not power:
-            break
-        sign = Fraction((-1) ** (k + 1), k)
-        for key, p in power.items():
-            t = p.scale(sign)
-            acc[key] = acc[key] + t if key in acc else t
-    acc = {k: p for k, p in acc.items() if not p.is_zero()}
-    return QSeries(acc, marker=z.marker, connected_form=True)
+    z_lift = {k: p.lifted() for k, p in z.layers.items() if k != (0, 0)}
+    f: Dict[Tuple[int, int], Poly] = {}
+    f_lift: Dict[Tuple[int, int], Tuple[Dict[Monomial, int], int]] = {}
+    for k in itertools.product(range(z.m_max + 1), range(z.d_max + 1)):
+        if k == (0, 0):
+            continue
+        w = sum(k)
+        pairs = [(j, i) for j in f if (i := (k[0] - j[0], k[1] - j[1])) in z_lift]
+        zk = z.layer(k[1], k[0])
+        cap = zk.cap
+        for j, i in pairs:
+            cap = _cap_min(cap, _cap_min(f[j].cap, z.layers[i].cap))
+        zk_nums, zk_den = z_lift.get(k, ({}, 1))
+        # a multiple of den(Z_k) and of every w(k) den(F_j) den(Z_{k-j})
+        den = lcm(zk_den, *(w * f_lift[j][1] * z_lift[i][1] for j, i in pairs))
+        acc = {
+            m: n * (den // zk_den) for m, n in zk_nums.items() if cap is None or m.degree <= cap
+        }
+        for j, i in pairs:
+            (fj_nums, fj_den), (zi_nums, zi_den) = f_lift[j], z_lift[i]
+            accumulate_product(acc, fj_nums, zi_nums, -sum(j) * (den // (w * fj_den * zi_den)), cap)
+        fk = Poly.from_numerators(acc, den, cap)
+        if not fk.is_zero():
+            f[k] = fk
+            f_lift[k] = fk.lifted()
+    return QSeries(f, marker=z.marker, connected_form=True)
 
 
 @dataclass(frozen=True)

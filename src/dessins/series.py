@@ -1,7 +1,11 @@
 r"""Exact sparse polynomial and Laurent-series arithmetic.
 
 All coefficients are ``fractions.Fraction``; there is no floating-point mode
-anywhere in the package.  Three kinds of values live here:
+anywhere in the package.  The product kernels (``Poly.__mul__`` here and
+``operators.apply``) lift each operand to integer numerators over one common
+denominator, accumulate ``int``s in their inner loops and build one
+``Fraction`` per output monomial; stored values stay ``Fraction``.  Three
+kinds of values live here:
 
 * ``Monomial`` / ``Poly`` -- sparse multivariate polynomials in variables
   ``t1, t2, ...`` (variable ``i`` carries *weighted degree* ``i``), the
@@ -170,6 +174,27 @@ class Poly:
         self.terms = t
         self.cap = cap
 
+    @classmethod
+    def _raw(cls, terms: Dict[Monomial, Fraction], cap: int | None) -> "Poly":
+        """Trusted constructor: every value of ``terms`` is a nonzero
+        ``Fraction`` and every monomial lies within ``cap``."""
+        p = object.__new__(cls)
+        p.terms = terms
+        p.cap = cap
+        return p
+
+    @classmethod
+    def from_numerators(cls, nums: Mapping[Monomial, int], den: int, cap: int | None) -> "Poly":
+        """The polynomial with coefficients ``nums[m] / den``, as built by the
+        product kernels; every monomial of ``nums`` lies within ``cap``."""
+        return cls._raw({m: Fraction(n, den) for m, n in nums.items() if n}, cap)
+
+    def lifted(self) -> Tuple[Dict[Monomial, int], int]:
+        """Integer numerators over one common denominator: ``(nums, den)``
+        with ``self.terms[m] == Fraction(nums[m], den)``."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}, den
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero(cap: int | None = None) -> "Poly":
@@ -234,11 +259,15 @@ class Poly:
         cap = _cap_min(self.cap, other.cap)
         t = dict(self.terms)
         for m, c in other.terms.items():
-            s = t.get(m, Fraction(0)) + c
+            s = t.get(m)
+            if s is None:
+                t[m] = c
+                continue
+            s += c
             if s:
                 t[m] = s
             else:
-                t.pop(m, None)
+                del t[m]
         return Poly(t, cap)
 
     def __neg__(self) -> "Poly":
@@ -255,19 +284,11 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         cap = _cap_min(self.cap, other.cap)
-        t: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            d1 = m1.degree
-            for m2, c2 in other.terms.items():
-                if cap is not None and d1 + m2.degree > cap:
-                    continue
-                m = m1.mul(m2)
-                s = t.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    t[m] = s
-                else:
-                    t.pop(m, None)
-        return Poly(t, cap)
+        a, den_a = self.lifted()
+        b, den_b = other.lifted()
+        acc: Dict[Monomial, int] = {}
+        accumulate_product(acc, a, b, 1, cap)
+        return Poly.from_numerators(acc, den_a * den_b, cap)
 
     def truncate(self, cap: int | None, marker_caps: Mapping[str, int] | None = None) -> "Poly":
         if cap is not None and self.cap is not None and cap > self.cap:
@@ -315,12 +336,33 @@ class Poly:
         return f"Poly({self.as_str()})"
 
 
+def accumulate_product(
+    acc: Dict[Monomial, int],
+    a: Mapping[Monomial, int],
+    b: Mapping[Monomial, int],
+    factor: int,
+    cap: int | None,
+) -> None:
+    """Add ``factor * a * b`` to ``acc``, all integer numerators, dropping
+    the monomials of weighted degree above ``cap``."""
+    for m1, n1 in a.items():
+        d1 = m1.degree
+        f1 = factor * n1
+        for m2, n2 in b.items():
+            if cap is not None and d1 + m2.degree > cap:
+                continue
+            m = m1.mul(m2)
+            acc[m] = acc.get(m, 0) + f1 * n2
+
+
 def parse_poly(pairs: Iterable[Tuple[Mapping[Key, int], object]], cap: int | None = None) -> Poly:
     """Build a Poly from (exponent-map, coefficient) pairs."""
     t: Dict[Monomial, Fraction] = {}
     for em, c in pairs:
         m = Monomial(em)
-        t[m] = t.get(m, Fraction(0)) + _fr(c)
+        c = _fr(c)
+        s = t.get(m)
+        t[m] = c if s is None else s + c
     return Poly(t, cap)
 
 
@@ -444,7 +486,8 @@ class LaurentSeries:
         lo = min(self.lo, other.lo)
         c = dict(self.coeffs)
         for m, v in other.coeffs.items():
-            c[m] = c.get(m, Fraction(0)) + v
+            s = c.get(m)
+            c[m] = v if s is None else s + v
         return LaurentSeries(self.var, c, lo, hi)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -468,7 +511,8 @@ class LaurentSeries:
             for m2, v2 in other.coeffs.items():
                 m = m1 + m2
                 if m <= hi:
-                    c[m] = c.get(m, Fraction(0)) + v1 * v2
+                    s = c.get(m)
+                    c[m] = v1 * v2 if s is None else s + v1 * v2
         return LaurentSeries(self.var, c, lo, hi)
 
     def pow(self, k: int) -> "LaurentSeries":

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dessins import cli
+from dessins import partition as pt
 
 
 def run_cli(*argv):
@@ -176,12 +177,37 @@ def test_bad_input_exits_usage_with_message(argv):
 
 def test_kernel_over_budget_exits_budget_with_message():
     # (0,4,3) needs 20 darts, over the fixed 16-dart budget
-    argv = ("export", "--what", "kernel", "--g", "0", "--nplus", "4", "--nminus", "3", "--cap", "10")
-    proc = _run_module(argv, {})
-    assert proc.returncode == cli.EXIT_BUDGET
-    assert "error: budget exceeded" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    _assert_budget_error(
+        ("export", "--what", "kernel", "--g", "0", "--nplus", "4", "--nminus", "3", "--cap", "10")
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zfun", "--dmax", "11"),
+        ("zfun", "--bivalent", "--dmax0", "5", "--dmax", "6"),
+        ("counts", "--alpha", "22"),
+        ("counts", "--alpha", "21", "--m", "1"),
+        ("export", "--what", "counts", "--s-max", "22"),
+    ],
+    ids=" ".join,
+)
+def test_flow_over_depth_budget_exits_budget_with_message(argv):
+    # one step past cli.FLOW_DEPTH_BUDGET = 10 in q-order m + d
+    _assert_budget_error(argv)
+
+
+def test_tutte_suite_checks_connected_series_through_sum_14(monkeypatch):
+    args = cli.build_parser().parse_args(["verify", "--suites", "tutte"])
+    assert cli._suite_tutte(args) == []
+    keys = list(cli._oracle_keys(cli.TUTTE_CONNECTED_SUM_MAX))
+    assert len(keys) == 506 and max(sum(k.alpha) for k in keys) == 14
+    # one coefficient of the connected series off by one, at sum(alpha) = 14
+    bumped = pt.CountKey(2, 1, 4, (14,))
+    real_count = pt.count
+    monkeypatch.setattr(pt, "count", lambda c, key: real_count(c, key) + (key == bumped))
+    assert cli._suite_tutte(args) == [f"{bumped}: tutte route != connected series"]
 
 
 def test_bad_threads_env_exits_usage_with_message():
@@ -193,6 +219,14 @@ def _run_module(argv, extra_env):
     return subprocess.run(
         [sys.executable, "-m", "dessins.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def _assert_budget_error(argv):
+    proc = _run_module(argv, {})
+    assert proc.returncode == cli.EXIT_BUDGET
+    assert "error: budget exceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def _assert_usage_error(argv, extra_env):

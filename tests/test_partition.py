@@ -42,6 +42,53 @@ def test_connected_log_basics():
     assert pt.connected(pt.partition_function(0)).layer(0).is_zero()
 
 
+def _fraction_product(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1.mul(m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _power_sum_log(z):
+    """Reference logarithm: sum_k (-1)^(k+1)/k U^k with U = Z - 1, each power
+    formed layer by layer over the rectangle of ``z``, in Fractions."""
+    m_max, d_max = z.m_max, z.d_max
+    u = {k: p.terms for k, p in z.layers.items() if k != (0, 0)}
+    acc, power = {}, {(0, 0): {Monomial(): Fraction(1)}}
+    for k in range(1, m_max + d_max + 1):
+        nxt = {}
+        for (m1, d1), p1 in power.items():
+            for (m2, d2), p2 in u.items():
+                if m1 + m2 <= m_max and d1 + d2 <= d_max:
+                    layer = nxt.setdefault((m1 + m2, d1 + d2), {})
+                    for mono, c in _fraction_product(p1, p2).items():
+                        layer[mono] = layer.get(mono, 0) + c
+        power = nxt
+        for key, layer in power.items():
+            tgt = acc.setdefault(key, {})
+            for mono, c in layer.items():
+                tgt[mono] = tgt.get(mono, 0) + c * Fraction((-1) ** (k + 1), k)
+    out = {key: {m: c for m, c in layer.items() if c} for key, layer in acc.items()}
+    return {key: layer for key, layer in out.items() if layer}
+
+
+@pytest.mark.parametrize(
+    "flow,args",
+    [pytest.param(pt.partition_function, (d, mk), id=f"Z d={d} marker={mk}")
+     for d in (0, 3, 6) for mk in (False, True)]
+    + [pytest.param(pt.partition_function_bivalent, (m, d, True), id=f"bivalent {m} {d}")
+       for m, d in ((4, 2), (3, 3), (2, 4))],
+)
+def test_connected_matches_power_sum_logarithm(flow, args):
+    z = flow(*args)
+    got = pt.connected(z)
+    assert {k: p.terms for k, p in got.layers.items()} == _power_sum_log(z)
+    assert all(type(c) is Fraction for p in got.layers.values() for c in p.terms.values())
+    assert got.marker == z.marker and got.connected_form
+
+
 def test_connected_rejects_bad_vacuum():
     z = pt.partition_function(1)
     z.layers[(0, 0)] = Poly.var(1)

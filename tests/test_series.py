@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dessins import operators as ops
+from dessins import partition as pt
 from dessins.series import (
     LaurentSeries,
     Monomial,
@@ -29,6 +31,9 @@ monomials = st.dictionaries(
     st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=3), max_size=3
 )
 polys = st.lists(st.tuples(monomials, coeffs), max_size=5).map(lambda ps: parse_poly(ps))
+capped_polys = st.tuples(polys, st.none() | st.integers(min_value=0, max_value=8)).map(
+    lambda pc: Poly(pc[0].terms, pc[1])
+)
 
 
 def test_monomial_degree_and_parts():
@@ -58,6 +63,48 @@ def test_poly_mul_cap_precondition():
     a = Poly.var(1, cap=2)
     with pytest.raises(ValueError):
         poly_mul(a, Poly.var(1), 4)
+
+
+def _fraction_loop_product(a, b):
+    """Reference product: one Fraction multiply and add per pair of terms."""
+    caps = [c for c in (a.cap, b.cap) if c is not None]
+    cap = min(caps) if caps else None
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = m1.mul(m2)
+            if cap is None or m.degree <= cap:
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}, cap
+
+
+def _all_fractions(p):
+    return all(type(c) is Fraction for c in p.terms.values())
+
+
+@given(capped_polys, capped_polys)
+@settings(max_examples=80, deadline=None)
+def test_poly_mul_matches_fraction_loop(a, b):
+    got = a * b
+    assert (got.terms, got.cap) == _fraction_loop_product(a, b)
+    assert _all_fractions(got)
+
+
+def test_poly_mul_cancels_to_zero():
+    x = P(({1: 1}, Fraction(1, 3)), ({2: 1}, Fraction(3, 2)))
+    y = P(({1: 1}, Fraction(1, 3)), ({2: 1}, Fraction(-3, 2)))
+    # the cross terms cancel exactly and leave no zero coefficient behind
+    assert (x * y).terms == {Monomial({1: 2}): Fraction(1, 9), Monomial({2: 2}): Fraction(-9, 4)}
+    assert (x * (y - y)).is_zero() and (x - x) * y == Poly.zero()
+    assert (x * y).terms == _fraction_loop_product(x, y)[0]
+
+
+def test_kernel_outputs_are_fractions():
+    z = pt.partition_function(4, with_marker=True)
+    assert all(_all_fractions(p) for p in z.layers.values())
+    assert _all_fractions(ops.apply(ops.w1_reduced(marker=True), z.layer(3)))
+    assert _all_fractions(ops.apply(ops.virasoro_l(2), z.layer(4), cap_d=4))
+    assert all(_all_fractions(p) for p in pt.connected(z).layers.values())
 
 
 def test_exp_log_examples():
