@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import List, Sequence
 
@@ -56,6 +57,11 @@ EXIT_BUDGET = 3
 # m + d of its top layer; every flow of depth 10 takes at most about 2 s on a
 # 2-core 2.1 GHz VM, and each step deeper roughly doubles the time
 FLOW_DEPTH_BUDGET = 10
+
+# largest --deg-cap a verify request may give the commutator suites (witt,
+# bivalent); with --var-cap as large, the witt suite takes about 3 s at 14 on
+# a 2-core Xeon VM, and each 2 more roughly double the time
+COMMUTATOR_DEG_BUDGET = 14
 
 
 def _frac_str(x: Fraction) -> str:
@@ -194,8 +200,8 @@ def cmd_counts(args) -> int:
 
 def _suite_witt(args) -> List[str]:
     out = []
-    for i in range(-1, 7):
-        for j in range(i, 7):
+    for i in range(-1, 9):
+        for j in range(i, 9):
             expect = ops.virasoro_l(i + j) if i != j else None
             res = ops.commutator_check(
                 ops.virasoro_l(i), ops.virasoro_l(j), expect, i - j,
@@ -351,6 +357,12 @@ SUITE_FNS = {
 def cmd_verify(args) -> int:
     if args.order < 0:
         return _usage_error("--order must be >= 0")
+    if args.deg_cap < 0 or args.var_cap < 0:
+        return _usage_error("--deg-cap and --var-cap must be >= 0")
+    if args.deg_cap > COMMUTATOR_DEG_BUDGET:
+        raise maps.BudgetExceeded(
+            f"--deg-cap {args.deg_cap} exceeds budget {COMMUTATOR_DEG_BUDGET}"
+        )
     names = SUITES if args.suites == ["all"] else args.suites
     unknown = [s for s in names if s not in SUITE_FNS]
     if unknown:
@@ -495,9 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` request, built once per process; each
+    ``parse_args`` call still returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "suites", None) is not None and isinstance(args.suites, str):
         args.suites = [s.strip() for s in args.suites.split(",") if s.strip()]
     try:

@@ -14,6 +14,14 @@ support it has met, grouped by derivative and indexed by the first
 derivative variable, and rebuilds it only when a larger support arrives.
 One table per operator, never one per support.
 
+The checks (``commutator_check`` here, ``opmatrix.cutjoin_matrix_check``)
+never apply an operator to a multi-term polynomial.  An ``ImageMemo`` keeps,
+for one operator and one check, the image of each monomial as integer
+numerators over its table's ``den``; ``composition_residual`` builds a
+composition such as a(b(m)) as an integer combination of the memoized images
+of the monomials of b(m), so each operator acts on each monomial once per
+check.  ``apply`` and the memo share one inner loop, ``_image_into``.
+
 Available constructors:
 
 * ``w1()``  -- the quadrivalent cut-and-join operator, homogeneous of
@@ -173,6 +181,31 @@ def _derive(m: Monomial, ders: Ders, weight: int) -> Tuple[int, Monomial] | None
     return fc, Monomial._raw(tuple(exps.items()), m.degree - weight)
 
 
+def _image_into(
+    acc: Dict[Monomial, int], groups: Dict[int | None, Tuple[TermGroup, ...]],
+    m: Monomial, c: int, cap: int | None,
+) -> None:
+    """Add ``c`` times the image of ``m`` under a term table's ``groups`` to
+    ``acc``, as numerators over the table's ``den``; terms of degree above
+    ``cap`` are dropped."""
+    # a group can act on m only if m has its first derivative variable
+    for key in (None, *(k for k, _ in m.exps)):
+        for ders, weight, entries in groups.get(key, ()):
+            if ders:
+                hit = _derive(m, ders, weight)
+                if hit is None:
+                    continue
+                fc, dm = hit
+                cm = c * fc
+            else:
+                dm, cm = m, c
+            for coeff, mono in entries:
+                if cap is not None and dm.degree + mono.degree > cap:
+                    continue
+                nm = dm.mul(mono)
+                acc[nm] = acc.get(nm, 0) + cm * coeff
+
+
 def apply(op: DiffOp, p: Poly, cap_d: int | None = None) -> Poly:
     """Exact truncated image of ``p`` under ``op``.
 
@@ -192,22 +225,7 @@ def apply(op: DiffOp, p: Poly, cap_d: int | None = None) -> Poly:
     nums, den = p.lifted()
     acc: Dict[Monomial, int] = {}
     for m, c in nums.items():
-        # a group can act on m only if m has its first derivative variable
-        for key in (None, *(k for k, _ in m.exps)):
-            for ders, weight, entries in groups.get(key, ()):
-                if ders:
-                    hit = _derive(m, ders, weight)
-                    if hit is None:
-                        continue
-                    fc, dm = hit
-                    cm = c * fc
-                else:
-                    dm, cm = m, c
-                for coeff, mono in entries:
-                    if cap is not None and dm.degree + mono.degree > cap:
-                        continue
-                    nm = dm.mul(mono)
-                    acc[nm] = acc.get(nm, 0) + cm * coeff
+        _image_into(acc, groups, m, c, cap)
     return Poly.from_numerators(acc, den * table.den, cap)
 
 
@@ -379,8 +397,13 @@ def basis_monomials(deg_cap: int, var_cap: int, t0_cap: int = 0) -> Iterator[Mon
 
     t0 carries weight 0, so its powers are enumerated separately up to
     ``t0_cap``; the d_0-containing parts of the operators are only exercised
-    with ``t0_cap`` > 0.
+    with ``t0_cap`` > 0.  A negative cap raises ``ValueError`` at the call,
+    not at the first item.
     """
+    if min(deg_cap, var_cap, t0_cap) < 0:
+        raise ValueError(
+            f"basis caps must be >= 0, got deg_cap={deg_cap}, var_cap={var_cap}, t0_cap={t0_cap}"
+        )
 
     def rec(max_part: int, budget: int, acc: Dict[int, int]) -> Iterator[Monomial]:
         for a in range(t0_cap + 1):
@@ -395,7 +418,76 @@ def basis_monomials(deg_cap: int, var_cap: int, t0_cap: int = 0) -> Iterator[Mon
             if not acc[part]:
                 del acc[part]
 
-    yield from rec(min(var_cap, deg_cap), deg_cap, {})
+    return rec(min(var_cap, deg_cap), deg_cap, {})
+
+
+# an exact polynomial as integer numerators over one denominator
+Lifted = Tuple[Dict[Monomial, int], int]
+
+
+class ImageMemo:
+    """The exact images of single monomials under one operator, each
+    computed once and kept for the life of this object (one check).
+
+    Each image is stored with the ``den`` of the table that produced it: the
+    table can be rebuilt for a larger support during a check, and its new
+    ``den`` is a multiple of the old one.
+    """
+
+    __slots__ = ("op", "memo")
+
+    def __init__(self, op: DiffOp):
+        self.op = op
+        self.memo: Dict[Monomial, Lifted] = {}
+
+    def of(self, m: Monomial) -> Lifted:
+        hit = self.memo.get(m)
+        if hit is None:
+            table = self.op.term_table(Support(m.degree, m.t0_exp))
+            acc: Dict[Monomial, int] = {}
+            _image_into(acc, table.groups, m, 1, None)
+            hit = self.memo[m] = ({k: v for k, v in acc.items() if v}, table.den)
+        return hit
+
+    def image(self, p: Lifted) -> Lifted:
+        """The image of ``p`` as the integer combination of memoized images."""
+        nums, den = p
+        acc, common = _combine([(c, self.of(m)) for m, c in nums.items() if c])
+        return acc, den * common
+
+
+def _combine(parts: List[Tuple[Fraction | int, Lifted]]) -> Lifted:
+    """sum c * p over ``parts``, accumulated in integers over one common
+    denominator."""
+    den = lcm(*(c.denominator * d for c, (_, d) in parts))
+    acc: Dict[Monomial, int] = {}
+    for c, (nums, d) in parts:
+        f = c.numerator * (den // (c.denominator * d))
+        for k, v in nums.items():
+            acc[k] = acc.get(k, 0) + f * v
+    return acc, den
+
+
+def composition_residual(
+    m: Monomial, parts: List[Tuple[Fraction, Tuple[ImageMemo, ...]]]
+) -> Poly | None:
+    """sum c * (o_1 o_2 ... o_k)(m) over ``parts``, each a coefficient and a
+    chain of operator images applied right to left; None when it vanishes.
+
+    Every operator acts only on single monomials, through its memo, and a
+    ``Poly`` is built only for a nonzero residual.
+    """
+    terms = []
+    for c, chain in parts:
+        if c:
+            p = chain[-1].of(m)
+            for images in reversed(chain[:-1]):
+                p = images.image(p)
+            terms.append((c, p))
+    acc, den = _combine(terms)
+    if not any(acc.values()):
+        return None
+    return Poly.from_numerators(acc, den, None)
 
 
 def commutator_check(
@@ -410,17 +502,25 @@ def commutator_check(
     """Residuals of (a b - b a - scale*expect) on basis monomials.
 
     Every application is exact (no truncation), so a nonzero residual is a
-    genuine finding, not a cap artifact.
+    genuine finding, not a cap artifact.  Each operator acts on each
+    monomial at most once per check (see ``composition_residual``).
     """
     scale = Fraction(scale)
+    basis = basis_monomials(deg_cap, var_cap, t0_cap)
+    # size both tables once for the check: every image of a basis monomial
+    # has degree <= top; a t0 that grows still rebuilds them (see ImageMemo)
+    top = deg_cap + max(0, *a.shifts, *b.shifts)
+    for op in (a, b):
+        op.term_table(Support(top, t0_cap))
+    ia, ib = ImageMemo(a), ImageMemo(b)
+    parts = [(Fraction(1), (ia, ib)), (Fraction(-1), (ib, ia))]
+    if expect is not None and scale != 0:
+        parts.append((-scale, (ImageMemo(expect),)))
     residuals = []
-    for m in basis_monomials(deg_cap, var_cap, t0_cap):
-        p = Poly.term(m, 1)
-        lhs = apply(a, apply(b, p)) - apply(b, apply(a, p))
-        if expect is not None and scale != 0:
-            lhs = lhs - apply(expect, p).scale(scale)
-        if not lhs.is_zero():
-            residuals.append((m, lhs))
+    for m in basis:
+        res = composition_residual(m, parts)
+        if res is not None:
+            residuals.append((m, res))
     return residuals
 
 

@@ -243,16 +243,15 @@ def assembled_operator(d: int, cap: int) -> ops.DiffOp:
 def cutjoin_matrix_check(d_max: int, cap: int, deg_cap: int = 4, t0_cap: int = 4) -> List[str]:
     """Residuals of d K_d = (W1 K_{d-1}) on basis monomials (expected none)."""
     findings = []
-    w1 = ops.w1()
+    w1 = ops.ImageMemo(ops.w1())
     for d in range(1, d_max + 1):
-        kd = assembled_operator(d, cap)
-        kprev = assembled_operator(d - 1, cap)
+        parts = [
+            (Fraction(d), (ops.ImageMemo(assembled_operator(d, cap)),)),
+            (Fraction(-1), (w1, ops.ImageMemo(assembled_operator(d - 1, cap)))),
+        ]
         for m in ops.basis_monomials(min(deg_cap, cap - 2 * d), deg_cap, t0_cap):
-            p = Poly.term(m, 1)
-            lhs = ops.apply(kd, p).scale(d)
-            rhs = ops.apply(w1, ops.apply(kprev, p))
-            diff = lhs - rhs
-            if not diff.is_zero():
+            diff = ops.composition_residual(m, parts)
+            if diff is not None:
                 findings.append(f"d={d} monomial {m.as_str()}: residual {diff.as_str()}")
     return findings
 

@@ -136,14 +136,14 @@ def test_criterion_03_oracle_equivalence():
 
 def test_criterion_04_witt_bracket():
     t0 = time.time()
-    for i in range(-1, 7):
-        for j in range(i, 7):
+    for i in range(-1, 9):
+        for j in range(i, 9):
             expect = ops.virasoro_l(i + j) if i != j else None
             res = ops.commutator_check(
                 ops.virasoro_l(i), ops.virasoro_l(j), expect, i - j, 10, 12
             )
             assert res == []
-    _report(4, "[L_i, L_j] = (i-j) L_{i+j} for -1 <= i <= j <= 6, degree <= 10", t0)
+    _report(4, "[L_i, L_j] = (i-j) L_{i+j} for -1 <= i <= j <= 8, degree <= 10", t0)
 
 
 def test_criterion_05_virasoro_vanishing():

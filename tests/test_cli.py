@@ -166,6 +166,10 @@ def test_export_correlator_json(tmp_path):
         ("export", "--what", "omega", "--g", "-1", "--n", "5"),
         ("verify", "--suites", "tr", "--order", "-1"),
         ("verify", "--suites", "loop", "--order", "-3"),
+        ("verify", "--suites", "witt", "--deg-cap", "-3"),
+        ("verify", "--suites", "witt", "--var-cap", "-1", "--deg-cap", "4"),
+        ("verify", "--suites", "bivalent", "--deg-cap", "-1"),
+        ("verify", "--suites", "all", "--var-cap", "-2"),
         ("--threads", "0", "zfun", "--dmax", "1"),
         ("--threads", "-1", "zfun", "--dmax", "1"),
     ],
@@ -196,6 +200,28 @@ def test_kernel_over_budget_exits_budget_with_message():
 def test_flow_over_depth_budget_exits_budget_with_message(argv):
     # one step past cli.FLOW_DEPTH_BUDGET = 10 in q-order m + d
     _assert_budget_error(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suites", "witt", "--deg-cap", "15"),
+        ("verify", "--suites", "bivalent", "--deg-cap", "15", "--var-cap", "4"),
+    ],
+    ids=" ".join,
+)
+def test_deg_cap_over_budget_exits_budget_with_message(argv):
+    # one past cli.COMMUTATOR_DEG_BUDGET = 14
+    _assert_budget_error(argv)
+
+
+def test_parser_built_once_with_a_fresh_namespace_per_request():
+    first = cli._parser().parse_args(["verify", "--suites", "witt", "--deg-cap", "3"])
+    first.deg_cap = -1
+    second = cli._parser().parse_args(["verify"])
+    assert cli._parser() is cli._parser()
+    assert second is not first
+    assert (second.suites, second.deg_cap) == ("all", 10)
 
 
 def test_tutte_suite_checks_connected_series_through_sum_14(monkeypatch):

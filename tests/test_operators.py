@@ -179,6 +179,106 @@ def test_globally_flipped_sign_convention_breaks_the_bracket():
 
 
 # ---------------------------------------------------------------------------
+# the memoized commutator check against five applications per monomial
+# ---------------------------------------------------------------------------
+
+
+def _reference_commutator_check(a, b, expect, scale, deg_cap, var_cap, t0_cap=2):
+    """(a b - b a - scale*expect) on each basis monomial, by ``apply``."""
+    scale = Fraction(scale)
+    residuals = []
+    for m in ops.basis_monomials(deg_cap, var_cap, t0_cap):
+        p = Poly.term(m, 1)
+        lhs = ops.apply(a, ops.apply(b, p)) - ops.apply(b, ops.apply(a, p))
+        if expect is not None and scale != 0:
+            lhs = lhs - ops.apply(expect, p).scale(scale)
+        if not lhs.is_zero():
+            residuals.append((m, lhs))
+    return residuals
+
+
+def _growing_den_op():
+    """An operator whose table ``den`` grows with the support (1/(i+1) on
+    d_i, 1/2^k on d_0^k) and whose t0 d_1 term raises t0, so its table is
+    rebuilt with a new ``den`` in the middle of a check."""
+
+    def gen(s):
+        yield ops.DiffTerm(Fraction(1), Monomial({0: 1}), ((1, 1),))
+        for i in range(1, s.max_deg + 1):
+            yield ops.DiffTerm(Fraction(1, i + 1), Monomial({i + 1: 1}), ((i, 1),))
+        for k in range(1, s.max_t0 + 1):
+            yield ops.DiffTerm(Fraction(1, 2**k), Monomial({1: 1}), ((0, k),))
+
+    return ops.DiffOp("G", (-1, 1), gen)
+
+
+L = ops.virasoro_l
+WRONG_BRACKETS = {
+    "[L-1,L2] at scale -2": lambda: (L(-1), L(2), L(1), -2),
+    "[L0,L2] without expectation": lambda: (L(0), L(2), None, 0),
+    "[W0,W1] against W1 at 1/3": lambda: (ops.w0(), ops.w1(), ops.w1(), Fraction(1, 3)),
+    "[W1',W0'] with marker against P+ at -5/7": lambda: (
+        ops.w1_reduced(marker=True), ops.w0_reduced(marker=True), ops.p_plus(),
+        Fraction(-5, 7),
+    ),
+    "[P+,P-]": lambda: (ops.p_plus(), ops.p_minus(), None, 0),
+    "[L0/2,L1] against L1 at -1": lambda: (ops.scaled(L(0), Fraction(1, 2)), L(1), L(1), -1),
+    "[G,W1] with a growing den": lambda: (_growing_den_op(), ops.w1(), None, 0),
+    "[L1,G] against G at 2/3": lambda: (L(1), _growing_den_op(), _growing_den_op(), Fraction(2, 3)),
+}
+PASSING_BRACKETS = {
+    **{
+        f"[L{i},L{j}]": (lambda i=i, j=j: (L(i), L(j), L(i + j) if i != j else None, i - j))
+        for i in range(-1, 4)
+        for j in range(i, 4)
+    },
+    "[W0,W1]": lambda: (ops.w0(), ops.w1(), None, 0),
+    "[W0',W1'] with marker": lambda: (
+        ops.w0_reduced(marker=True), ops.w1_reduced(marker=True), None, 0
+    ),
+}
+
+
+def _as_text(residuals):
+    return [(m.as_str(), p.as_str(), p.cap) for m, p in residuals]
+
+
+@pytest.mark.parametrize("name", [*WRONG_BRACKETS, *PASSING_BRACKETS])
+def test_commutator_check_matches_five_apply_reference(name, monkeypatch):
+    make = WRONG_BRACKETS.get(name) or PASSING_BRACKETS[name]
+    want = _reference_commutator_check(*make(), 6, 6)
+    assert bool(want) == (name in WRONG_BRACKETS)
+
+    def no_apply(*args, **kwargs):
+        raise AssertionError("commutator_check called apply")
+
+    # fresh operators, so their tables start empty inside the check
+    monkeypatch.setattr(ops, "apply", no_apply)
+    got = ops.commutator_check(*make(), 6, 6)
+    assert got == want
+    assert _as_text(got) == _as_text(want)
+
+
+def test_commutator_check_on_operators_with_warm_tables():
+    # tables already built for a small support grow again inside the check:
+    # b raises t0, so a meets a larger t0 and a larger den in the middle
+    a, b = _growing_den_op(), _growing_den_op()
+    for op in (a, b):
+        ops.apply(op, P(({1: 1}, 1)))
+    args = (ops.w1(), 1, 5, 5, 3)
+    want = _reference_commutator_check(_growing_den_op(), _growing_den_op(), *args)
+    assert want and ops.commutator_check(a, b, *args) == want
+
+
+@pytest.mark.parametrize("caps", [(-3, 12, 2), (4, -1, 2), (4, 4, -1)])
+def test_negative_basis_caps_raise(caps):
+    with pytest.raises(ValueError, match="basis caps must be >= 0"):
+        ops.basis_monomials(*caps)
+    with pytest.raises(ValueError, match="basis caps must be >= 0"):
+        ops.commutator_check(ops.w0(), ops.w1(), None, 0, *caps)
+
+
+# ---------------------------------------------------------------------------
 # the grouped term table against the naive term-by-monomial loop
 # ---------------------------------------------------------------------------
 

@@ -50,6 +50,37 @@ def test_cutjoin_matrix_check_passes():
     assert om.cutjoin_matrix_check(3, 8) == []
 
 
+def _reference_cutjoin_matrix_check(d_max, cap, deg_cap=4, t0_cap=4):
+    """d K_d - W1 K_{d-1} on each basis monomial, by ``apply``."""
+    findings = []
+    w1 = ops.w1()
+    for d in range(1, d_max + 1):
+        kd = om.assembled_operator(d, cap)
+        kprev = om.assembled_operator(d - 1, cap)
+        for m in ops.basis_monomials(min(deg_cap, cap - 2 * d), deg_cap, t0_cap):
+            p = Poly.term(m, 1)
+            diff = ops.apply(kd, p).scale(d) - ops.apply(w1, ops.apply(kprev, p))
+            if not diff.is_zero():
+                findings.append(f"d={d} monomial {m.as_str()}: residual {diff.as_str()}")
+    return findings
+
+
+@pytest.mark.parametrize("wrong_d", [1, 2])
+def test_cutjoin_matrix_check_matches_apply_reference(wrong_d, monkeypatch):
+    # K_wrong_d doubled: it breaks the equation at d = wrong_d and, through
+    # W1 K_{d-1}, at d = wrong_d + 1
+    assembled = om.assembled_operator
+
+    def perturbed(d, cap):
+        kd = assembled(d, cap)
+        return ops.scaled(kd, 2) if d == wrong_d else kd
+
+    monkeypatch.setattr(om, "assembled_operator", perturbed)
+    want = _reference_cutjoin_matrix_check(3, 8)
+    assert {f.split()[0] for f in want} == {f"d={wrong_d}", f"d={wrong_d + 1}"}
+    assert om.cutjoin_matrix_check(3, 8) == want
+
+
 def test_vacuum_consistency():
     assert om.vacuum_consistency_check(3, 8) == []
 
