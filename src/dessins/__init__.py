@@ -1,10 +1,10 @@
 """Exact enumeration of directed ribbon graphs / dessins d'enfants.
 
 Four independent routes to the same weighted counts: exponentiating the
-cut-and-join operator on a truncated Fock space, the Tutte recursion on
-boundary perimeters, the matrix coefficients of the gluing kernels from
-graph enumeration with lattice-point counts, and direct brute force over
-permutation triples.  On top of the counts: Virasoro constraints, the loop
+cut-and-join operator on the Fock space, one exact layer at a time, the
+Tutte recursion on boundary perimeters, the matrix coefficients of the
+gluing kernels from graph enumeration with lattice-point counts, and direct
+brute force over permutation triples.  On top of the counts: Virasoro constraints, the loop
 equation, the Eynard-Orantin topological recursion on x = z + 1/z, and the
 lattice-count substitution identity for Norbury polynomials.
 """
@@ -16,9 +16,6 @@ from .series import (
     Poly,
     RationalFn,
     laurent_compose,
-    poly_exp,
-    poly_log,
-    poly_mul,
     solve_disc,
 )
 from .operators import (

@@ -63,6 +63,10 @@ FLOW_DEPTH_BUDGET = 10
 # a 2-core Xeon VM, and each 2 more roughly double the time
 COMMUTATOR_DEG_BUDGET = 14
 
+# largest Euler degree 2g - 2 + n a tr or export-omega request may ask for;
+# cold, (0,6) takes about 4 s on a 2-core VM, and (2,3) at degree 5 about 12 s
+TR_DEGREE_BUDGET = 4
+
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
@@ -125,12 +129,7 @@ def cmd_zfun(args) -> int:
 def _connected_series(d: int, m: int) -> pt.QSeries:
     """Connected marked series to quadrivalent depth ``d`` with ``m`` bivalent vertices."""
     _check_flow_depth(d, m)
-    z = (
-        pt.partition_function(d, with_marker=True)
-        if m == 0
-        else pt.partition_function_bivalent(m, d, with_marker=True)
-    )
-    return pt.connected(z)
+    return pt.connected(pt.partition_function_bivalent(m, d, with_marker=True))
 
 
 def _count_rows(
@@ -290,20 +289,19 @@ def _suite_bivalent(args) -> List[str]:
     for k in set(b1.layers) | set(b2.layers):
         if b1.layers.get(k) != b2.layers.get(k):
             out.append(f"bivalent flow order disagrees at layer {k}")
-    # every (v4, v2) the flow below reaches: v4 <= 2, v2 <= 4
-    budget = min(args.n_budget, 16)
+    # every (v4, v2) the flow below reaches: v4 <= 2, v2 <= 4, up to 16
+    # darts; a smaller --n-budget raises BudgetExceeded, as in the oracle suite
     c = pt.connected(pt.partition_function_bivalent(4, 2, with_marker=True))
     for v4, v2 in itertools.product(range(3), range(5)):
-        n_darts = 4 * v4 + 2 * v2
-        if n_darts == 0 or n_darts > budget:
+        if v4 == v2 == 0:
             continue
-        tbl = maps._dessin_table(v4, v2, True, budget)
+        tbl = maps._dessin_table(v4, v2, True, args.n_budget)
         for (g, n_minus, perims), _cnt in tbl.items():
             alpha = tuple(perims)
             key = pt.CountKey(g, len(alpha), n_minus, alpha, m=v2)
             want = pt.count(c, key)
             got = maps.count_dessins(
-                maps.EnumSpec(v4, v2, len(alpha), n_minus, alpha, g=g), budget=budget
+                maps.EnumSpec(v4, v2, len(alpha), n_minus, alpha, g=g), budget=args.n_budget
             )
             if want != got:
                 out.append(f"bivalent {key}: enumeration {got} != partition {want}")
@@ -364,6 +362,8 @@ def cmd_verify(args) -> int:
             f"--deg-cap {args.deg_cap} exceeds budget {COMMUTATOR_DEG_BUDGET}"
         )
     names = SUITES if args.suites == ["all"] else args.suites
+    if not names:
+        return _usage_error(f"no suites given; known: {', '.join(SUITES)}")
     unknown = [s for s in names if s not in SUITE_FNS]
     if unknown:
         return _usage_error(f"unknown suites {unknown}; known: {', '.join(SUITES)}")
@@ -390,6 +390,12 @@ def cmd_verify(args) -> int:
 def cmd_tr(args) -> int:
     if args.order < 0:
         return _usage_error("--order must be >= 0")
+    # an out-of-range (g, n) stays a usage error, raised by tr_omega
+    degree = 2 * args.g - 2 + args.n
+    if args.g >= 0 and args.n >= 1 and degree > TR_DEGREE_BUDGET:
+        raise maps.BudgetExceeded(
+            f"tr degree 2g - 2 + n = {degree} exceeds budget {TR_DEGREE_BUDGET}"
+        )
     om = spectral.tr_omega(args.g, args.n)
     payload = om.to_json_dict()
     payload["expansion"] = {

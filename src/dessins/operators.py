@@ -1,4 +1,4 @@
-r"""Graded differential operators on truncated series.
+r"""Graded differential operators on exact polynomials.
 
 An operator here is a *term generator*, not a stored infinite sum: given a
 summary of the input support (maximal weighted degree and maximal t0
@@ -140,10 +140,6 @@ class DiffOp:
         object.__setattr__(self, "_table", table)
         return table
 
-    @property
-    def min_shift(self) -> int:
-        return min(self.shifts)
-
     def __repr__(self):
         return f"DiffOp({self.name})"
 
@@ -183,11 +179,10 @@ def _derive(m: Monomial, ders: Ders, weight: int) -> Tuple[int, Monomial] | None
 
 def _image_into(
     acc: Dict[Monomial, int], groups: Dict[int | None, Tuple[TermGroup, ...]],
-    m: Monomial, c: int, cap: int | None,
+    m: Monomial, c: int,
 ) -> None:
     """Add ``c`` times the image of ``m`` under a term table's ``groups`` to
-    ``acc``, as numerators over the table's ``den``; terms of degree above
-    ``cap`` are dropped."""
+    ``acc``, as numerators over the table's ``den``."""
     # a group can act on m only if m has its first derivative variable
     for key in (None, *(k for k, _ in m.exps)):
         for ders, weight, entries in groups.get(key, ()):
@@ -200,33 +195,19 @@ def _image_into(
             else:
                 dm, cm = m, c
             for coeff, mono in entries:
-                if cap is not None and dm.degree + mono.degree > cap:
-                    continue
                 nm = dm.mul(mono)
                 acc[nm] = acc.get(nm, 0) + cm * coeff
 
 
-def apply(op: DiffOp, p: Poly, cap_d: int | None = None) -> Poly:
-    """Exact truncated image of ``p`` under ``op``.
-
-    If ``p`` carries a trust cap, it must extend far enough that every
-    output degree <= cap_d is determined: cap(p) >= cap_d - min_shift(op).
-    """
-    if cap_d is not None and p.cap is not None and p.cap < cap_d - op.min_shift:
-        raise ValueError(
-            f"input trusted to degree {p.cap} but degree {cap_d - op.min_shift} needed"
-        )
-    if p.cap is None:
-        cap = cap_d
-    else:
-        cap = p.cap + op.min_shift if cap_d is None else min(cap_d, p.cap + op.min_shift)
+def apply(op: DiffOp, p: Poly) -> Poly:
+    """The exact image of ``p`` under ``op``."""
     table = op.term_table(Support(p.max_degree, p.max_t0))
     groups = table.groups
     nums, den = p.lifted()
     acc: Dict[Monomial, int] = {}
     for m, c in nums.items():
-        _image_into(acc, groups, m, c, cap)
-    return Poly.from_numerators(acc, den * table.den, cap)
+        _image_into(acc, groups, m, c)
+    return Poly.from_numerators(acc, den * table.den)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +325,12 @@ def conjugate_shift(op: DiffOp, s) -> DiffOp:
 
     ``s`` is a scalar or a single-term polynomial in marker variables (1 for
     plain t0 removal, the marker ``t-`` for the genus-refined vacuum).
+
+    The result keeps the generator superset contract only when the d_0
+    powers of ``op``'s terms do not grow with ``Support.max_t0``, which holds
+    for every built-in operator.  Otherwise (d_0 + s)^k turns the extra
+    d_0^k terms of a larger support, which kill every smaller input, into
+    parts with no derivative, and those act on smaller inputs.
     """
     if isinstance(s, Poly):
         if len(s.terms) > 1:
@@ -445,7 +432,7 @@ class ImageMemo:
         if hit is None:
             table = self.op.term_table(Support(m.degree, m.t0_exp))
             acc: Dict[Monomial, int] = {}
-            _image_into(acc, table.groups, m, 1, None)
+            _image_into(acc, table.groups, m, 1)
             hit = self.memo[m] = ({k: v for k, v in acc.items() if v}, table.den)
         return hit
 
@@ -487,7 +474,7 @@ def composition_residual(
     acc, den = _combine(terms)
     if not any(acc.values()):
         return None
-    return Poly.from_numerators(acc, den, None)
+    return Poly.from_numerators(acc, den)
 
 
 def commutator_check(
@@ -501,9 +488,9 @@ def commutator_check(
 ) -> List[Tuple[Monomial, Poly]]:
     """Residuals of (a b - b a - scale*expect) on basis monomials.
 
-    Every application is exact (no truncation), so a nonzero residual is a
-    genuine finding, not a cap artifact.  Each operator acts on each
-    monomial at most once per check (see ``composition_residual``).
+    Every application is exact, so a nonzero residual is a genuine finding.
+    Each operator acts on each monomial at most once per check (see
+    ``composition_residual``).
     """
     scale = Fraction(scale)
     basis = basis_monomials(deg_cap, var_cap, t0_cap)

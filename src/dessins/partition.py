@@ -25,7 +25,7 @@ from math import factorial, lcm, prod
 from typing import Dict, List, Tuple
 
 from . import operators as ops
-from .series import MARKER_NEG, Monomial, Poly, _cap_min, accumulate_product, mu_factorial
+from .series import MARKER_NEG, Monomial, Poly, accumulate_product, mu_factorial
 
 
 @dataclass
@@ -56,16 +56,16 @@ class QSeries:
 
 
 def partition_function(d_max: int, with_marker: bool = False) -> QSeries:
-    """Layers of Z, computed by (d+1) Z_{d+1} = W1' Z_d, Z_0 = 1."""
+    """Layers of Z, computed by (d+1) Z_{d+1} = W1' Z_d, Z_0 = 1: the m = 0
+    row of the bivalent series."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    w1p = ops.w1_reduced(marker=with_marker)
-    layers: Dict[Tuple[int, int], Poly] = {(0, 0): Poly.one()}
-    cur = Poly.one()
-    for d in range(d_max):
-        cur = ops.apply(w1p, cur).scale(Fraction(1, d + 1))
-        layers[(0, d + 1)] = cur
-    return QSeries(layers, marker=with_marker)
+    return partition_function_bivalent(0, d_max, with_marker)
+
+
+def _flow_step(op: ops.DiffOp, layer: Poly, k: int) -> Poly:
+    """Layer k + 1 of a flow from layer k: op(layer) / (k + 1)."""
+    return ops.apply(op, layer).scale(Fraction(1, k + 1))
 
 
 def partition_function_bivalent(
@@ -83,16 +83,16 @@ def partition_function_bivalent(
     layers: Dict[Tuple[int, int], Poly] = {(0, 0): Poly.one()}
     if not q1_first:
         for m in range(d0_max):
-            layers[(m + 1, 0)] = ops.apply(w0p, layers[(m, 0)]).scale(Fraction(1, m + 1))
+            layers[(m + 1, 0)] = _flow_step(w0p, layers[(m, 0)], m)
         for m in range(d0_max + 1):
             for d in range(d1_max):
-                layers[(m, d + 1)] = ops.apply(w1p, layers[(m, d)]).scale(Fraction(1, d + 1))
+                layers[(m, d + 1)] = _flow_step(w1p, layers[(m, d)], d)
     else:
         for d in range(d1_max):
-            layers[(0, d + 1)] = ops.apply(w1p, layers[(0, d)]).scale(Fraction(1, d + 1))
+            layers[(0, d + 1)] = _flow_step(w1p, layers[(0, d)], d)
         for d in range(d1_max + 1):
             for m in range(d0_max):
-                layers[(m + 1, d)] = ops.apply(w0p, layers[(m, d)]).scale(Fraction(1, m + 1))
+                layers[(m + 1, d)] = _flow_step(w0p, layers[(m, d)], m)
     return QSeries(layers, marker=with_marker)
 
 
@@ -120,20 +120,14 @@ def connected(z: QSeries) -> QSeries:
             continue
         w = sum(k)
         pairs = [(j, i) for j in f if (i := (k[0] - j[0], k[1] - j[1])) in z_lift]
-        zk = z.layer(k[1], k[0])
-        cap = zk.cap
-        for j, i in pairs:
-            cap = _cap_min(cap, _cap_min(f[j].cap, z.layers[i].cap))
         zk_nums, zk_den = z_lift.get(k, ({}, 1))
         # a multiple of den(Z_k) and of every w(k) den(F_j) den(Z_{k-j})
         den = lcm(zk_den, *(w * f_lift[j][1] * z_lift[i][1] for j, i in pairs))
-        acc = {
-            m: n * (den // zk_den) for m, n in zk_nums.items() if cap is None or m.degree <= cap
-        }
+        acc = {m: n * (den // zk_den) for m, n in zk_nums.items()}
         for j, i in pairs:
             (fj_nums, fj_den), (zi_nums, zi_den) = f_lift[j], z_lift[i]
-            accumulate_product(acc, fj_nums, zi_nums, -sum(j) * (den // (w * fj_den * zi_den)), cap)
-        fk = Poly.from_numerators(acc, den, cap)
+            accumulate_product(acc, fj_nums, zi_nums, -sum(j) * (den // (w * fj_den * zi_den)))
+        fk = Poly.from_numerators(acc, den)
         if not fk.is_zero():
             f[k] = fk
             f_lift[k] = fk.lifted()
@@ -251,4 +245,4 @@ def _substitute_marker(p: Poly, name: str, value: Fraction) -> Poly:
         rest = Monomial({k: v for k, v in m.exps if k != name}) if e else m
         val = c * value**e
         out[rest] = out.get(rest, Fraction(0)) + val
-    return Poly({m: c for m, c in out.items() if c}, p.cap)
+    return Poly(out)

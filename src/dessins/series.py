@@ -7,13 +7,11 @@ denominator, accumulate ``int``s in their inner loops and build one
 ``Fraction`` per output monomial; stored values stay ``Fraction``.  Three
 kinds of values live here:
 
-* ``Monomial`` / ``Poly`` -- sparse multivariate polynomials in variables
-  ``t1, t2, ...`` (variable ``i`` carries *weighted degree* ``i``), the
-  bookkeeping variable ``t0`` (weight 0) and named *marker* variables such
-  as ``t-`` (weight 0).  A ``Poly`` optionally carries a truncation cap:
-  ``cap=None`` means the polynomial is exact, ``cap=D`` means every
-  coefficient of weighted degree ``<= D`` is exact and nothing is known
-  beyond.  Arithmetic propagates caps conservatively.
+* ``Monomial`` / ``Poly`` -- exact sparse multivariate polynomials in
+  variables ``t1, t2, ...`` (variable ``i`` carries *weighted degree* ``i``),
+  the bookkeeping variable ``t0`` (weight 0) and named *marker* variables
+  such as ``t-`` (weight 0).  Every route computes whole layers, each an
+  exact finite polynomial.
 
 * ``LaurentSeries`` -- one-variable series ``sum_m c_m * var^(-m)`` with an
   explicit exactness window ``[lo, hi]``: the true series has no support
@@ -151,43 +149,33 @@ class Monomial:
 MONO_ONE = Monomial()
 
 
-def _cap_min(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class Poly:
-    """Sparse polynomial with exact Fraction coefficients and a trust cap."""
+    """Sparse polynomial with exact Fraction coefficients."""
 
-    __slots__ = ("terms", "cap")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, cap: int | None = None):
+    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         t: Dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
                 c = _fr(c)
-                if c != 0 and (cap is None or m.degree <= cap):
+                if c != 0:
                     t[m] = c
         self.terms = t
-        self.cap = cap
 
     @classmethod
-    def _raw(cls, terms: Dict[Monomial, Fraction], cap: int | None) -> "Poly":
+    def _raw(cls, terms: Dict[Monomial, Fraction]) -> "Poly":
         """Trusted constructor: every value of ``terms`` is a nonzero
-        ``Fraction`` and every monomial lies within ``cap``."""
+        ``Fraction``."""
         p = object.__new__(cls)
         p.terms = terms
-        p.cap = cap
         return p
 
     @classmethod
-    def from_numerators(cls, nums: Mapping[Monomial, int], den: int, cap: int | None) -> "Poly":
+    def from_numerators(cls, nums: Mapping[Monomial, int], den: int) -> "Poly":
         """The polynomial with coefficients ``nums[m] / den``, as built by the
-        product kernels; every monomial of ``nums`` lies within ``cap``."""
-        return cls._raw({m: Fraction(n, den) for m, n in nums.items() if n}, cap)
+        product kernels."""
+        return cls._raw({m: Fraction(n, den) for m, n in nums.items() if n})
 
     def lifted(self) -> Tuple[Dict[Monomial, int], int]:
         """Integer numerators over one common denominator: ``(nums, den)``
@@ -197,28 +185,28 @@ class Poly:
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def zero(cap: int | None = None) -> "Poly":
-        return Poly({}, cap)
+    def zero() -> "Poly":
+        return Poly()
 
     @staticmethod
-    def const(c, cap: int | None = None) -> "Poly":
-        return Poly({MONO_ONE: _fr(c)}, cap)
+    def const(c) -> "Poly":
+        return Poly({MONO_ONE: _fr(c)})
 
     @staticmethod
-    def one(cap: int | None = None) -> "Poly":
-        return Poly.const(1, cap)
+    def one() -> "Poly":
+        return Poly.const(1)
 
     @staticmethod
-    def var(i: int, cap: int | None = None) -> "Poly":
-        return Poly({Monomial({i: 1}): Fraction(1)}, cap)
+    def var(i: int) -> "Poly":
+        return Poly({Monomial({i: 1}): Fraction(1)})
 
     @staticmethod
-    def marker(name: str, cap: int | None = None) -> "Poly":
-        return Poly({Monomial({name: 1}): Fraction(1)}, cap)
+    def marker(name: str) -> "Poly":
+        return Poly({Monomial({name: 1}): Fraction(1)})
 
     @staticmethod
-    def term(m: Monomial, c, cap: int | None = None) -> "Poly":
-        return Poly({m: _fr(c)}, cap)
+    def term(m: Monomial, c) -> "Poly":
+        return Poly({m: _fr(c)})
 
     # -- queries -----------------------------------------------------------
     def coeff(self, m: Monomial) -> Fraction:
@@ -232,10 +220,6 @@ class Poly:
         return max((m.degree for m in self.terms), default=0)
 
     @property
-    def min_degree(self) -> int:
-        return min((m.degree for m in self.terms), default=0)
-
-    @property
     def max_t0(self) -> int:
         return max((m.t0_exp for m in self.terms), default=0)
 
@@ -243,7 +227,7 @@ class Poly:
         return self.coeff(MONO_ONE)
 
     def homogeneous_part(self, d: int) -> "Poly":
-        return Poly({m: c for m, c in self.terms.items() if m.degree == d}, self.cap)
+        return Poly({m: c for m, c in self.terms.items() if m.degree == d})
 
     def marker_slice(self, name: str, power: int) -> "Poly":
         """Coefficient of marker^power, as a polynomial without that marker."""
@@ -252,11 +236,10 @@ class Poly:
             if m.exp(name) == power:
                 rest = {k: e for k, e in m.exps if k != name}
                 out[Monomial(rest)] = c
-        return Poly(out, self.cap)
+        return Poly(out)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
-        cap = _cap_min(self.cap, other.cap)
         t = dict(self.terms)
         for m, c in other.terms.items():
             s = t.get(m)
@@ -268,10 +251,10 @@ class Poly:
                 t[m] = s
             else:
                 del t[m]
-        return Poly(t, cap)
+        return Poly(t)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()}, self.cap)
+        return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -279,28 +262,15 @@ class Poly:
     def scale(self, c) -> "Poly":
         c = _fr(c)
         if c == 0:
-            return Poly.zero(self.cap)
-        return Poly({m: c * v for m, v in self.terms.items()}, self.cap)
+            return Poly.zero()
+        return Poly({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        cap = _cap_min(self.cap, other.cap)
         a, den_a = self.lifted()
         b, den_b = other.lifted()
         acc: Dict[Monomial, int] = {}
-        accumulate_product(acc, a, b, 1, cap)
-        return Poly.from_numerators(acc, den_a * den_b, cap)
-
-    def truncate(self, cap: int | None, marker_caps: Mapping[str, int] | None = None) -> "Poly":
-        if cap is not None and self.cap is not None and cap > self.cap:
-            raise ValueError(f"cannot extend trust cap {self.cap} to {cap}")
-        t = {}
-        for m, c in self.terms.items():
-            if cap is not None and m.degree > cap:
-                continue
-            if marker_caps and any(m.exp(nm) > mc for nm, mc in marker_caps.items()):
-                continue
-            t[m] = c
-        return Poly(t, cap if cap is not None else self.cap)
+        accumulate_product(acc, a, b, 1)
+        return Poly.from_numerators(acc, den_a * den_b)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
@@ -337,25 +307,17 @@ class Poly:
 
 
 def accumulate_product(
-    acc: Dict[Monomial, int],
-    a: Mapping[Monomial, int],
-    b: Mapping[Monomial, int],
-    factor: int,
-    cap: int | None,
+    acc: Dict[Monomial, int], a: Mapping[Monomial, int], b: Mapping[Monomial, int], factor: int
 ) -> None:
-    """Add ``factor * a * b`` to ``acc``, all integer numerators, dropping
-    the monomials of weighted degree above ``cap``."""
+    """Add ``factor * a * b`` to ``acc``, all integer numerators."""
     for m1, n1 in a.items():
-        d1 = m1.degree
         f1 = factor * n1
         for m2, n2 in b.items():
-            if cap is not None and d1 + m2.degree > cap:
-                continue
             m = m1.mul(m2)
             acc[m] = acc.get(m, 0) + f1 * n2
 
 
-def parse_poly(pairs: Iterable[Tuple[Mapping[Key, int], object]], cap: int | None = None) -> Poly:
+def parse_poly(pairs: Iterable[Tuple[Mapping[Key, int], object]]) -> Poly:
     """Build a Poly from (exponent-map, coefficient) pairs."""
     t: Dict[Monomial, Fraction] = {}
     for em, c in pairs:
@@ -363,55 +325,7 @@ def parse_poly(pairs: Iterable[Tuple[Mapping[Key, int], object]], cap: int | Non
         c = _fr(c)
         s = t.get(m)
         t[m] = c if s is None else s + c
-    return Poly(t, cap)
-
-
-def poly_mul(a: Poly, b: Poly, cap_d: int) -> Poly:
-    """Truncated product; both inputs must be trusted at least to cap_d."""
-    for p in (a, b):
-        if p.cap is not None and p.cap < cap_d:
-            raise ValueError(f"operand cap {p.cap} below requested cap {cap_d}")
-    return (a * b).truncate(cap_d) if (a.cap is None and b.cap is None) else Poly(
-        (a * b).terms, cap_d
-    )
-
-
-def poly_exp(p: Poly, cap_d: int) -> Poly:
-    """exp of a polynomial with positive minimal weighted degree, truncated."""
-    if p.cap is not None and p.cap < cap_d:
-        raise ValueError(f"operand cap {p.cap} below requested cap {cap_d}")
-    if not p.is_zero() and p.min_degree < 1:
-        raise ValueError("poly_exp requires zero constant term (min degree >= 1)")
-    p = Poly(p.terms, cap_d)
-    out = Poly.one(cap_d)
-    pk = Poly.one(cap_d)
-    fact = 1
-    for k in range(1, cap_d + 1):
-        pk = pk * p
-        fact *= k
-        if pk.is_zero():
-            break
-        out = out + pk.scale(Fraction(1, fact))
-    return out
-
-
-def poly_log(p: Poly, cap_d: int) -> Poly:
-    """log of a polynomial with constant term 1, truncated."""
-    if p.cap is not None and p.cap < cap_d:
-        raise ValueError(f"operand cap {p.cap} below requested cap {cap_d}")
-    if p.constant_term() != 1:
-        raise ValueError("poly_log requires constant term 1")
-    u = Poly(p.terms, cap_d) - Poly.one(cap_d)
-    if not u.is_zero() and u.min_degree < 1:
-        raise ValueError("poly_log requires min degree >= 1 away from the constant")
-    out = Poly.zero(cap_d)
-    uk = Poly.one(cap_d)
-    for k in range(1, cap_d + 1):
-        uk = uk * u
-        if uk.is_zero():
-            break
-        out = out + uk.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    return Poly(t)
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +374,6 @@ class LaurentSeries:
         self.coeffs = {m: _fr(c) for m, c in coeffs.items() if c and lo <= m <= hi}
         self.lo = lo
         self.hi = hi
-
-    @staticmethod
-    def zero(var: str, hi: int) -> "LaurentSeries":
-        return LaurentSeries(var, {}, 0, hi)
-
-    @staticmethod
-    def monomial(var: str, m: int, c=1, hi: int | None = None) -> "LaurentSeries":
-        return LaurentSeries(var, {m: _fr(c)}, m, hi if hi is not None else m)
 
     def coeff(self, m: int) -> Fraction:
         if m > self.hi:
@@ -524,11 +430,6 @@ class LaurentSeries:
         for _ in range(k - 1):
             out = out * self
         return out
-
-    def truncate(self, hi: int) -> "LaurentSeries":
-        if hi > self.hi:
-            raise ValueError(f"cannot extend window {self.hi} to {hi}")
-        return LaurentSeries(self.var, self.coeffs, self.lo, hi)
 
     def is_zero_on_window(self) -> bool:
         return not self.coeffs
@@ -717,18 +618,6 @@ class RationalFn:
     def is_zero(self) -> bool:
         return not self.num
 
-    def derivative(self) -> "RationalFn":
-        def d(p):
-            return _poly_trim([i * c for i, c in enumerate(p)][1:])
-
-        return RationalFn(
-            _poly_add(
-                _poly_mul(d(self.num), self.den),
-                [-c for c in _poly_mul(self.num, d(self.den))],
-            ),
-            _poly_mul(self.den, self.den),
-        )
-
     def shifted(self, a) -> Tuple[list, list]:
         """Numerator and denominator as polynomials in u where z = a + u."""
         a = _fr(a)
@@ -748,44 +637,6 @@ class RationalFn:
             return _poly_trim(out)
 
         return shift_safe(list(self.num)), shift_safe(list(self.den))
-
-    def expand_at_infinity(self, var: str, hi: int) -> LaurentSeries:
-        """Expansion in powers of 1/z, exact through exponent ``hi``."""
-        # write num/den = z^(-k) * (a0 + a1/z + ...) / (b0 + b1/z + ...)
-        dn, dd = len(self.num) - 1, len(self.den) - 1
-        if dn < 0:
-            return LaurentSeries.zero(var, hi)
-        k = dd - dn
-        a = list(reversed(self.num))
-        b = list(reversed(self.den))
-        inv = [Fraction(0)] * (hi + 1)
-        inv[0] = 1 / b[0]
-        for m in range(1, hi + 1):
-            s = Fraction(0)
-            for j in range(1, min(m, len(b) - 1) + 1):
-                s += b[j] * inv[m - j]
-            inv[m] = -s / b[0]
-        prod = [Fraction(0)] * (hi + 1)
-        for i, c in enumerate(a):
-            if c and i <= hi:
-                for m in range(hi + 1 - i):
-                    prod[i + m] += c * inv[m]
-        return LaurentSeries(var, {m + k: c for m, c in enumerate(prod) if c}, k, hi + k)
-
-    def pole_order(self, a) -> int:
-        """Order of the pole at z=a (0 if regular)."""
-        a = _fr(a)
-        nu, de = self.shifted(a)
-        if not nu:
-            return 0
-
-        def val(p):
-            for i, c in enumerate(p):
-                if c:
-                    return i
-            return len(p)
-
-        return max(0, val(de) - val(nu))
 
     def as_str(self, var: str = "z") -> str:
         def ps(p):

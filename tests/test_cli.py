@@ -170,6 +170,7 @@ def test_export_correlator_json(tmp_path):
         ("verify", "--suites", "witt", "--var-cap", "-1", "--deg-cap", "4"),
         ("verify", "--suites", "bivalent", "--deg-cap", "-1"),
         ("verify", "--suites", "all", "--var-cap", "-2"),
+        ("verify", "--suites", ","),
         ("--threads", "0", "zfun", "--dmax", "1"),
         ("--threads", "-1", "zfun", "--dmax", "1"),
     ],
@@ -213,6 +214,26 @@ def test_flow_over_depth_budget_exits_budget_with_message(argv):
 def test_deg_cap_over_budget_exits_budget_with_message(argv):
     # one past cli.COMMUTATOR_DEG_BUDGET = 14
     _assert_budget_error(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suites", "bivalent", "--n-budget", "8"),
+        ("tr", "--g", "5", "--n", "1"),
+        ("export", "--what", "omega", "--g", "0", "--n", "7"),
+    ],
+    ids=" ".join,
+)
+def test_scan_and_tr_over_budget_exit_budget_with_message(argv):
+    # the bivalent brute force needs up to 16 darts; tr is one past
+    # cli.TR_DEGREE_BUDGET = 4 in 2g - 2 + n
+    _assert_budget_error(argv)
+
+
+def test_tr_at_degree_budget_runs():
+    code, out = run_cli("tr", "--g", "2", "--n", "2", "--order", "2")
+    assert code == 0 and json.loads(out)["g"] == 2
 
 
 def test_parser_built_once_with_a_fresh_namespace_per_request():

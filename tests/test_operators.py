@@ -11,8 +11,8 @@ from dessins import opmatrix
 from dessins.series import MARKER_NEG, Monomial, Poly, parse_poly
 
 
-def P(*pairs, cap=None):
-    return parse_poly(pairs, cap)
+def P(*pairs):
+    return parse_poly(pairs)
 
 
 W1P = ops.w1_reduced()
@@ -66,23 +66,6 @@ def test_conjugation_matches_printed_reduced_operator():
             )
         mult = (P(({1: 2}, Fraction(1, 2)), ({2: 1}, 1))) * p
         assert got == manual + lin + mult
-
-
-def test_apply_respects_trust_caps():
-    p = Poly(Poly.var(1).terms, cap=2)
-    with pytest.raises(ValueError):
-        ops.apply(W1P, p, cap_d=6)
-    out = ops.apply(W1P, p, cap_d=4)
-    assert out.cap == 4
-
-
-def test_mixed_grading_cap_bookkeeping():
-    l2 = ops.virasoro_l(2)  # shifts -4 and -2
-    p = Poly(P(({4: 1}, 1)).terms, cap=6)
-    out = ops.apply(l2, p, cap_d=2)
-    assert out.cap == 2
-    with pytest.raises(ValueError):
-        ops.apply(l2, p, cap_d=3)
 
 
 def test_l0_contains_d0_squared():
@@ -240,7 +223,7 @@ PASSING_BRACKETS = {
 
 
 def _as_text(residuals):
-    return [(m.as_str(), p.as_str(), p.cap) for m, p in residuals]
+    return [(m.as_str(), p.as_str()) for m, p in residuals]
 
 
 @pytest.mark.parametrize("name", [*WRONG_BRACKETS, *PASSING_BRACKETS])
@@ -296,10 +279,8 @@ OPERATORS = {
 }
 
 
-def _reference_apply(op, p, cap_d=None):
+def _reference_apply(op, p):
     """Every term of ``op.terms(support)`` against every monomial of ``p``."""
-    if cap_d is not None and p.cap is not None and p.cap < cap_d - op.min_shift:
-        raise ValueError("input trust cap too low")
     out = {}
     for term in op.terms(ops.Support(p.max_degree, p.max_t0)):
         for m, c in p.terms.items():
@@ -314,30 +295,16 @@ def _reference_apply(op, p, cap_d=None):
                 exps[i] = have - e
             else:
                 nm = Monomial(exps).mul(term.mono)
-                if cap_d is None or nm.degree <= cap_d:
-                    out[nm] = out.get(nm, Fraction(0)) + c * fc * term.coeff
-    if p.cap is None:
-        cap = cap_d
-    else:
-        cap = p.cap + op.min_shift if cap_d is None else min(cap_d, p.cap + op.min_shift)
-    return Poly(out, cap)
-
-
-def _outcome(fn, *args):
-    try:
-        out = fn(*args)
-    except ValueError:
-        return "ValueError"
-    return out.terms, out.cap
+                out[nm] = out.get(nm, Fraction(0)) + c * fc * term.coeff
+    return Poly(out)
 
 
 _monomials = st.dictionaries(
     st.sampled_from([0, 1, 2, 3, 4, 5, 6, MARKER_NEG]), st.integers(1, 3), max_size=3
 ).filter(lambda d: Monomial(d).degree <= 9)
 _polys = st.builds(
-    lambda pairs, cap: parse_poly(pairs, cap),
+    parse_poly,
     st.lists(st.tuples(_monomials, st.fractions(max_denominator=4).filter(bool)), max_size=5),
-    st.one_of(st.none(), st.integers(4, 12)),
 )
 # one instance per operator, shared by all examples, so the table meets
 # supports in arbitrary order
@@ -345,11 +312,11 @@ _SHARED = {}
 
 
 @pytest.mark.parametrize("name", OPERATORS)
-@given(p=_polys, cap_d=st.one_of(st.none(), st.integers(0, 12)))
+@given(p=_polys)
 @settings(max_examples=25, deadline=None)
-def test_apply_matches_reference_loop(name, p, cap_d):
+def test_apply_matches_reference_loop(name, p):
     op = _SHARED.setdefault(name, OPERATORS[name]())
-    assert _outcome(ops.apply, op, p, cap_d) == _outcome(_reference_apply, op, p, cap_d)
+    assert ops.apply(op, p) == _reference_apply(op, p)
 
 
 def _fresh(name):
