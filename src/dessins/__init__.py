@@ -15,7 +15,6 @@ from .series import (
     Monomial,
     Poly,
     RationalFn,
-    laurent_compose,
     solve_disc,
 )
 from .operators import (

@@ -67,6 +67,16 @@ COMMUTATOR_DEG_BUDGET = 14
 # cold, (0,6) takes about 4 s on a 2-core VM, and (2,3) at degree 5 about 12 s
 TR_DEGREE_BUDGET = 4
 
+# largest --order a tr, export-omega or verify request may give; cold, tr
+# (0,6) takes about 8.5 s at order 12 and 14-17 s at 16 on a 2-core VM, and
+# verify --suites tr 5.8 s at 24 and 20 s at 30
+ORDER_BUDGET = 12
+
+# largest --cap an export-correlator request may give; cold, (2,10) takes
+# about 4 s at cap 20 on a 2-core VM, (0,10) about 7 s at cap 24, and (4,4)
+# about 11 s at cap 30 and more than 20 s at cap 40
+CORRELATOR_CAP_BUDGET = 20
+
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
@@ -87,6 +97,11 @@ def _json_dumps(obj) -> str:
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _check_order(order: int):
+    if order > ORDER_BUDGET:
+        raise maps.BudgetExceeded(f"--order {order} exceeds budget {ORDER_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +372,9 @@ def cmd_verify(args) -> int:
         return _usage_error("--order must be >= 0")
     if args.deg_cap < 0 or args.var_cap < 0:
         return _usage_error("--deg-cap and --var-cap must be >= 0")
+    if args.n_budget < 0:
+        return _usage_error("--n-budget must be >= 0")
+    _check_order(args.order)
     if args.deg_cap > COMMUTATOR_DEG_BUDGET:
         raise maps.BudgetExceeded(
             f"--deg-cap {args.deg_cap} exceeds budget {COMMUTATOR_DEG_BUDGET}"
@@ -396,6 +414,7 @@ def cmd_tr(args) -> int:
         raise maps.BudgetExceeded(
             f"tr degree 2g - 2 + n = {degree} exceeds budget {TR_DEGREE_BUDGET}"
         )
+    _check_order(args.order)
     om = spectral.tr_omega(args.g, args.n)
     payload = om.to_json_dict()
     payload["expansion"] = {
@@ -418,6 +437,8 @@ def cmd_export(args) -> int:
     elif args.what == "maps":
         if args.v4 < 0 or args.v2 < 0:
             return _usage_error("--v4 and --v2 must be >= 0")
+        if args.n_budget < 0:
+            return _usage_error("--n-budget must be >= 0")
         valences = (4,) * args.v4 + (2,) * args.v2
         lines = list(maps.map_dump_lines(valences, budget=args.n_budget))
         _emit("\n".join(lines) + "\n", args.out)
@@ -440,6 +461,11 @@ def cmd_export(args) -> int:
     elif args.what == "correlator":
         if args.cap < 0:
             return _usage_error("--cap must be >= 0")
+        # an out-of-range (g, n) stays a usage error, raised by laplace_W
+        if args.g >= 0 and args.n >= 1 and args.cap > CORRELATOR_CAP_BUDGET:
+            raise maps.BudgetExceeded(
+                f"correlator --cap {args.cap} exceeds budget {CORRELATOR_CAP_BUDGET}"
+            )
         w = spectral.laplace_W(args.g, args.n, args.cap)
         _emit(_json_dumps(w.to_json_dict()), args.out)
     return EXIT_OK

@@ -37,7 +37,6 @@ check the Gram adjointness between the (g, n+, n-) and (g, n-, n+) blocks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from math import factorial
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import maps, operators as ops, partition as pt
-from .series import Monomial, Poly, mu_factorial, sorted_multi
+from .series import Monomial, Poly, distinct_permutations, mu_factorial, sorted_multi
 
 MultiIndex = Tuple[int, ...]
 
@@ -277,18 +276,14 @@ def vacuum_consistency_check(d_max: int, cap: int) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_permutations(parts: MultiIndex) -> List[MultiIndex]:
-    return sorted(set(itertools.permutations(parts)))
-
-
 @lru_cache(maxsize=None)
 def _gram(mu1: MultiIndex, mu2: MultiIndex) -> Fraction:
     """(e_mu1, e_mu2) under (f, g) = (1/n!) int f g exp(-|x|) dx on R+^n."""
     n = len(mu1)
     assert len(mu2) == n
     total = Fraction(0)
-    for a in _distinct_permutations(mu1):
-        for b in _distinct_permutations(mu2):
+    for a in distinct_permutations(mu1):
+        for b in distinct_permutations(mu2):
             prod = Fraction(1)
             for ai, bi in zip(a, b):
                 prod *= Fraction(factorial(ai + bi), factorial(ai) * factorial(bi))

@@ -29,11 +29,12 @@ usable as golden values in tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 Key = Union[int, str]  # int i >= 0 -> variable t_i ; str -> marker variable
 
@@ -355,6 +356,11 @@ def mu_factorial(parts: Iterable[int]) -> int:
     return math.prod(math.factorial(m) for m in Counter(parts).values())
 
 
+def distinct_permutations(parts: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The distinct reorderings of ``parts``, in lexicographic order."""
+    return sorted(set(itertools.permutations(parts)))
+
+
 # ---------------------------------------------------------------------------
 # Laurent series in one variable
 # ---------------------------------------------------------------------------
@@ -459,31 +465,6 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"LaurentSeries({self.as_str()}; window<=+{self.hi})"
-
-
-def laurent_compose(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
-    """Substitute the inverse variable of ``f`` by ``g``: sum_m f_m * g^m.
-
-    ``f`` must have no negative retained exponents (negative powers of the
-    inner series are not supported) and ``g`` must have strictly positive
-    order.
-    """
-    if any(m < 0 for m in f.coeffs):
-        raise ValueError("composition with negative powers of the inner variable")
-    if g.order < 1 or g.lo < 1:
-        raise ValueError("inner series must have strictly positive order")
-    hi = (f.hi + 1) * g.lo - 1  # unknown tail of f enters only beyond this
-    out = LaurentSeries(g.var, {}, 0, hi)
-    if 0 in f.coeffs:
-        out = out + LaurentSeries(g.var, {0: f.coeffs[0]}, 0, hi)
-    gm = None
-    for m in range(1, max(f.coeffs, default=0) + 1):
-        gm = g if gm is None else gm * g
-        if m in f.coeffs:
-            t = gm.scale(f.coeffs[m])
-            hi = min(hi, t.hi)
-            out = LaurentSeries(out.var, out.coeffs, out.lo, hi) + t
-    return out
 
 
 def solve_disc(cap: int) -> LaurentSeries:

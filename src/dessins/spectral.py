@@ -33,6 +33,13 @@ sigma^* omega_{0,1}) and coupling factor 1/(z - z1) - 1/(1/z - z1); an
 overall normalization constant ``KERNEL_SCALE`` multiplies the residues and
 is pinned by exact agreement with the Laplace route (the two printed
 variants of the kernel differ by such a constant).
+
+Every check builds two coefficient tables keyed by exponent vectors and
+compares them with ``_mismatches`` on a window of total order, so findings
+come in sorted exponent order.  Expansions at infinity, and the
+substitution of the tree series into the Norbury counts, go through
+``_add_slot_products``: a product of one-variable series, one per slot,
+expanded on that window.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from . import tutte
 from .maps import norbury_N
-from .series import LaurentSeries, RationalFn, laurent_compose, solve_disc, sorted_multi
+from .series import LaurentSeries, RationalFn, distinct_permutations, solve_disc, sorted_multi
 
 # pinned so that the residue recursion reproduces the Laplace coefficients
 KERNEL_SCALE = Fraction(-1, 2)
@@ -67,14 +74,14 @@ class CorrelatorSeries:
     g: int
     n: int
     cap: int
-    coeffs: Dict[MultiIndex, Fraction]
+    coeffs: Dict[MultiIndex, int]
 
-    def value(self, alpha: Sequence[int]) -> Fraction:
-        return self.coeffs.get(tuple(sorted(alpha)), Fraction(0))
+    def value(self, alpha: Sequence[int]) -> int:
+        return self.coeffs.get(tuple(sorted(alpha)), 0)
 
-    def ordered_items(self) -> Iterable[Tuple[MultiIndex, Fraction]]:
+    def ordered_items(self) -> Iterable[Tuple[MultiIndex, int]]:
         for alpha, v in self.coeffs.items():
-            for perm in sorted(set(itertools.permutations(alpha))):
+            for perm in distinct_permutations(alpha):
                 yield perm, v
 
     def to_json_dict(self) -> dict:
@@ -95,7 +102,7 @@ class CorrelatorSeries:
             denom = math.prod(alpha)
             if denom == 0:
                 raise ValueError("W* undefined for zero perimeters")
-            out[alpha] = v / denom
+            out[alpha] = Fraction(v, denom)
         return out
 
 
@@ -104,7 +111,7 @@ def laplace_W(g: int, n: int, cap: int) -> CorrelatorSeries:
     """Correlator table with sum(alpha) <= cap, from the Tutte recursion."""
     if g < 0 or n < 1:
         raise ValueError(f"correlator W_{{g,n}} needs g >= 0 and n >= 1, got ({g},{n})")
-    coeffs: Dict[MultiIndex, Fraction] = {}
+    coeffs: Dict[MultiIndex, int] = {}
     minimum = 0 if (g, n) == (0, 1) else 1
     for tot in range(0, cap + 1):
         for alpha in sorted_multi(tot, n, minimum):
@@ -112,6 +119,55 @@ def laplace_W(g: int, n: int, cap: int) -> CorrelatorSeries:
             if v:
                 coeffs[alpha] = v
     return CorrelatorSeries(g, n, cap, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# coefficient tables on a window of total order
+# ---------------------------------------------------------------------------
+
+
+def _add_slot_products(
+    out: Dict[MultiIndex, Fraction], coeff, slots: Sequence[Dict[int, Fraction]], hi: int
+) -> None:
+    """Add coeff * prod_i slots[i](z_i) to ``out`` on the exponent vectors of
+    total <= hi; ``slots[i]`` maps exponents of z_i to coefficients.
+
+    No slot may have a negative exponent: then a partial total above hi
+    stays above hi, and is dropped at once.
+    """
+    partial = [((), 0, coeff)]
+    for slot in slots:
+        partial = [
+            (e + (m,), t + m, c * cm)
+            for e, t, c in partial
+            for m, cm in slot.items()
+            if t + m <= hi
+        ]
+    for e, _, c in partial:
+        out[e] = out.get(e, Fraction(0)) + c
+
+
+def _mismatches(
+    lhs: Dict[MultiIndex, Fraction], rhs: Dict[MultiIndex, Fraction], hi: int
+) -> List[Tuple[MultiIndex, Fraction, Fraction]]:
+    """(exponent, lhs value, rhs value) wherever the two tables differ on
+    total order <= hi, in sorted exponent order; a missing exponent reads 0."""
+    out = []
+    for e in sorted(set(lhs) | set(rhs)):
+        if sum(e) <= hi:
+            lv, rv = lhs.get(e, Fraction(0)), rhs.get(e, Fraction(0))
+            if lv != rv:
+                out.append((e, lv, rv))
+    return out
+
+
+def _splittings(g: int, passives: Sequence[int]):
+    """(g1, s1, g2, s2) for every ordered split g = g1 + g2 of the genus and
+    of the passive slots into s1 and its complement s2."""
+    for g1 in range(g + 1):
+        for r in range(len(passives) + 1):
+            for s1 in itertools.combinations(passives, r):
+                yield g1, s1, g - g1, tuple(j for j in passives if j not in s1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,40 +211,29 @@ def loop_check(g: int, n: int, cap: int) -> List[str]:
             rhs[e] = rhs.get(e, Fraction(0)) + v
     # splitting over ordered pairs, unstable (0,1) pieces included; a pair
     # (a1, a2) lands on total sum(a1) + sum(a2) + n + 1
-    passive = list(range(1, n))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for r in range(len(passive) + 1):
-            for s1 in itertools.combinations(passive, r):
-                s2 = [j for j in passive if j not in s1]
-                items2 = sorted(
-                    laplace_W(g2, len(s2) + 1, cap).ordered_items(), key=lambda av: sum(av[0])
-                )
-                for a1, v1 in laplace_W(g1, len(s1) + 1, cap).ordered_items():
-                    room = cap - n - 1 - sum(a1)
-                    for a2, v2 in items2:
-                        if sum(a2) > room:
-                            break
-                        e = [0] * n
-                        e[0] = a1[0] + a2[0] + 2
-                        for j, b in zip(s1, a1[1:]):
-                            e[j] = b + 1
-                        for j, b in zip(s2, a2[1:]):
-                            e[j] = b + 1
-                        key = tuple(e)
-                        rhs[key] = rhs.get(key, Fraction(0)) + v1 * v2
+    for g1, s1, g2, s2 in _splittings(g, range(1, n)):
+        items2 = sorted(
+            laplace_W(g2, len(s2) + 1, cap).ordered_items(), key=lambda av: sum(av[0])
+        )
+        for a1, v1 in laplace_W(g1, len(s1) + 1, cap).ordered_items():
+            room = cap - n - 1 - sum(a1)
+            for a2, v2 in items2:
+                if sum(a2) > room:
+                    break
+                e = [0] * n
+                e[0] = a1[0] + a2[0] + 2
+                for j, b in zip(s1, a1[1:]):
+                    e[j] = b + 1
+                for j, b in zip(s2, a2[1:]):
+                    e[j] = b + 1
+                key = tuple(e)
+                rhs[key] = rhs.get(key, Fraction(0)) + v1 * v2
     if (g, n) == (0, 1):
         rhs[(0,)] = rhs.get((0,), Fraction(0)) + 1
-    findings = []
-    for e in sorted(set(lhs) | set(rhs)):
-        if sum(e) > cap:
-            continue
-        if lhs.get(e, Fraction(0)) != rhs.get(e, Fraction(0)):
-            findings.append(
-                f"(g,n)=({g},{n}) exponent {e}: {lhs.get(e, Fraction(0))} != "
-                f"{rhs.get(e, Fraction(0))}"
-            )
-    return findings
+    return [
+        f"(g,n)=({g},{n}) exponent {e}: {lv} != {rv}"
+        for e, lv, rv in _mismatches(lhs, rhs, cap)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -213,28 +258,9 @@ def pullback_series(a: int, var: str, hi: int) -> LaurentSeries:
 
 def bergman_check(cap: int) -> List[str]:
     """W_{0,2}(z1,z2) x'(z1) x'(z2) = 1/(z1 z2 - 1)^2 to total order cap."""
-    w02 = laplace_W(0, 2, cap + 2)
-    lhs: Dict[Tuple[int, int], Fraction] = {}
-    pows: Dict[int, LaurentSeries] = {}
-    for a in {a for alpha in w02.coeffs for a in alpha}:
-        pows[a] = pullback_series(a, "z", cap)
-    for (a1, a2), v in w02.coeffs.items():
-        for b1, b2 in {(a1, a2), (a2, a1)}:
-            for m1, c1 in pows[b1].coeffs.items():
-                for m2, c2 in pows[b2].coeffs.items():
-                    if m1 + m2 <= cap:
-                        key = (m1, m2)
-                        lhs[key] = lhs.get(key, Fraction(0)) + v * c1 * c2
-    rhs: Dict[Tuple[int, int], Fraction] = {}
-    for m in range(cap // 2 + 1):
-        rhs[(m + 2, m + 2)] = Fraction(m + 1)
-    findings = []
-    for key in set(lhs) | set(rhs):
-        if sum(key) > cap:
-            continue
-        if lhs.get(key, Fraction(0)) != rhs.get(key, Fraction(0)):
-            findings.append(f"exponents {key}: {lhs.get(key)} != {rhs.get(key)}")
-    return findings
+    lhs = laplace_expansion_at_infinity(0, 2, cap)
+    rhs = {(m + 2, m + 2): Fraction(m + 1) for m in range(cap // 2 + 1)}
+    return [f"exponents {e}: {lv} != {rv}" for e, lv, rv in _mismatches(lhs, rhs, cap)]
 
 
 def _x(z: RationalFn) -> RationalFn:
@@ -407,41 +433,6 @@ def _expand_ratfn(fn: RationalFn, eps: int, hi: int) -> ULaurent:
     return ULaurent.from_fractions(out, hi)
 
 
-def _coupling_direct(eps: int, hi: int) -> ULaurent:
-    """1/(z - z1) at z = eps + u; coefficients carry slot-1 poles at eps."""
-    coeffs = {r: _pole(1, eps, r + 1, -1) for r in range(hi + 1)}
-    return ULaurent(coeffs, hi)
-
-
-def _inv_z_series(eps: int, hi: int) -> ULaurent:
-    """w(u) = 1/(eps + u) as a scalar series."""
-    coeffs = {j: _scalar(Fraction((-1) ** j * eps ** (j + 1))) for j in range(hi + 1)}
-    return ULaurent(coeffs, hi)
-
-
-def _coupling_sigma(eps: int, hi: int, slot: int = 1, power: int = 1) -> ULaurent:
-    """1/(1/z - z_slot)^power at z = eps + u.
-
-    Expanded as a geometric series in (w(u) - eps)/(eps - z_slot); the
-    coefficients carry slot poles at eps only.
-    """
-    w = _inv_z_series(eps, hi)
-    delta = ULaurent({m: c for m, c in w.coeffs.items() if m >= 1}, hi)
-    # 1/(c + delta)^power with c = eps - z_slot:
-    #   sum_r binom(power - 1 + r, r) (-delta)^r / c^(power + r)
-    out = ULaurent({}, hi)
-    term = ULaurent({0: _scalar(1)}, hi)  # (-delta)^r, scalar coefficients
-    for r in range(hi + 2):
-        # 1/c^(power+r) = 1/(eps - z_slot)^(power+r) = (-1)^(power+r)/(z_slot-eps)^..
-        cpow = _pole(slot, eps, power + r, Fraction((-1) ** (power + r)))
-        piece = term * ULaurent({0: cpow}, hi)
-        out = out + piece.scale(Fraction(comb(power - 1 + r, r)))
-        term = term * delta.scale(Fraction(-1))
-        if not term.coeffs:
-            break
-    return out
-
-
 def _pole_factor_at(eps_val: int, eps_pole: int, power: int, hi: int, at_inverse: bool) -> ULaurent:
     """Expansion of 1/(z - eps_pole)^power or 1/(1/z - eps_pole)^power at
     z = eps_val + u, as scalar series."""
@@ -463,16 +454,31 @@ def _pole_factor_at(eps_val: int, eps_pole: int, power: int, hi: int, at_inverse
 
 
 def _passive_coupling(slot: int, eps: int, power: int, hi: int, at_inverse: bool) -> ULaurent:
-    """1/(z - z_slot)^power or 1/(1/z - z_slot)^power at z = eps + u."""
-    if at_inverse:
-        return _coupling_sigma(eps, hi, slot=slot, power=power)
-    # 1/(z - z_slot)^power = derivative family of the direct coupling
-    #   = sum_r binom(power-1+r, r) u^r * (-1)^power /(z_slot - eps)^(power+r)
-    coeffs: Dict[int, CoefElem] = {}
-    for r in range(hi + 1):
-        c = Fraction((-1) ** power * comb(power - 1 + r, r))
-        coeffs[r] = _pole(slot, eps, power + r, c)
-    return ULaurent(coeffs, hi)
+    """1/(z - z_slot)^power or 1/(1/z - z_slot)^power at z = eps + u; the
+    coefficients carry slot poles at eps only."""
+    if not at_inverse:
+        # sum_r binom(power-1+r, r) u^r * (-1)^power /(z_slot - eps)^(power+r)
+        coeffs = {
+            r: _pole(slot, eps, power + r, (-1) ** power * comb(power - 1 + r, r))
+            for r in range(hi + 1)
+        }
+        return ULaurent(coeffs, hi)
+    # a geometric series in delta/(eps - z_slot), with delta = 1/z - eps =
+    # 1/(eps + u) - eps = sum_{j >= 1} (-1)^j eps^(j+1) u^j
+    delta = ULaurent({j: _scalar((-1) ** j * eps ** (j + 1)) for j in range(1, hi + 1)}, hi)
+    # 1/(c + delta)^power with c = eps - z_slot:
+    #   sum_r binom(power - 1 + r, r) (-delta)^r / c^(power + r)
+    out = ULaurent({}, hi)
+    term = ULaurent({0: _scalar(1)}, hi)  # (-delta)^r, scalar coefficients
+    for r in range(hi + 2):
+        # 1/c^(power+r) = 1/(eps - z_slot)^(power+r) = (-1)^(power+r)/(z_slot-eps)^..
+        cpow = _pole(slot, eps, power + r, Fraction((-1) ** (power + r)))
+        piece = term * ULaurent({0: cpow}, hi)
+        out = out + piece.scale(Fraction(comb(power - 1 + r, r)))
+        term = term * delta.scale(Fraction(-1))
+        if not term.coeffs:
+            break
+    return out
 
 
 @dataclass(frozen=True)
@@ -571,7 +577,9 @@ def _integrand_factors(g: int, n: int, eps: int) -> List[_Factor]:
     )
     # 1/(z - z1) - 1/(1/z - z1) vanishes at z = eps, where 1/z = z
     ker2 = _Factor(
-        1, lambda hi: _coupling_direct(eps, hi) + _coupling_sigma(eps, hi).scale(Fraction(-1))
+        1,
+        lambda hi: _passive_coupling(1, eps, 1, hi, at_inverse=False)
+        + _passive_coupling(1, eps, 1, hi, at_inverse=True).scale(Fraction(-1)),
     )
     jac = _Factor(0, partial(_expand_ratfn, RationalFn([-1]) / RationalFn([0, 0, 1]), eps))
     passives = list(range(2, n + 1))
@@ -596,17 +604,13 @@ def _integrand_factors(g: int, n: int, eps: int) -> List[_Factor]:
         return _omega_eval(tr_omega(gi, ni).value, slot_args, eps)
 
     # splitting terms, ordered pairs, no omega_{0,1} factors
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for r in range(len(passives) + 1):
-            for s1 in itertools.combinations(passives, r):
-                s2 = tuple(j for j in passives if j not in s1)
-                n1, n2 = len(s1) + 1, len(s2) + 1
-                if 2 * g1 - 2 + n1 <= 0 and (g1, n1) != (0, 2):
-                    continue
-                if 2 * g2 - 2 + n2 <= 0 and (g2, n2) != (0, 2):
-                    continue
-                bracket.append(_product_factor([factor(g1, s1, "z"), factor(g2, s2, "invz")]))
+    for g1, s1, g2, s2 in _splittings(g, passives):
+        n1, n2 = len(s1) + 1, len(s2) + 1
+        if 2 * g1 - 2 + n1 <= 0 and (g1, n1) != (0, 2):
+            continue
+        if 2 * g2 - 2 + n2 <= 0 and (g2, n2) != (0, 2):
+            continue
+        bracket.append(_product_factor([factor(g1, s1, "z"), factor(g2, s2, "invz")]))
     return [ker1, ker2, jac, _sum_factor([(Fraction(1), f) for f in bracket])]
 
 
@@ -651,40 +655,20 @@ class OmegaDifferential:
     def expand_at_infinity(self, hi: int) -> Dict[MultiIndex, Fraction]:
         """Coefficients of prod z_i^-e_i, exact for total order <= hi."""
         out: Dict[MultiIndex, Fraction] = {}
+        one = LaurentSeries("z", {0: 1}, 0, hi)
         for key, c in self.value.items():
-            per_slot: Dict[int, Dict[int, Fraction]] = {}
+            per_slot: Dict[int, LaurentSeries] = {}
             for (slot, eps), power in key:
-                ser = {
-                    m: Fraction(comb(m - 1, power - 1) * eps ** (m - power))
-                    for m in range(power, hi + 1)
-                }
-                if slot in per_slot:
-                    cur = per_slot[slot]
-                    nxt: Dict[int, Fraction] = {}
-                    for m1, c1 in cur.items():
-                        for m2, c2 in ser.items():
-                            if m1 + m2 <= hi:
-                                nxt[m1 + m2] = nxt.get(m1 + m2, Fraction(0)) + c1 * c2
-                    per_slot[slot] = nxt
-                else:
-                    per_slot[slot] = ser
-            combos = [[(0, c)]] + [
-                sorted(per_slot.get(slot, {0: Fraction(1)}).items())
-                for slot in range(1, self.n + 1)
-            ]
-
-            def rec(slot_idx: int, exps: Tuple[int, ...], coeff: Fraction):
-                if coeff == 0:
-                    return
-                if slot_idx == len(combos):
-                    if sum(exps) <= hi:
-                        out[exps] = out.get(exps, Fraction(0)) + coeff
-                    return
-                for m, cc in combos[slot_idx]:
-                    if sum(exps) + m <= hi:
-                        rec(slot_idx + 1, exps + (m,), coeff * cc)
-
-            rec(1, (), c)
+                # 1/(z - eps)^power = sum_m binom(m-1, power-1) eps^(m-power) z^-m
+                ser = LaurentSeries(
+                    "z",
+                    {m: comb(m - 1, power - 1) * eps ** (m - power) for m in range(power, hi + 1)},
+                    power,
+                    hi,
+                )
+                per_slot[slot] = per_slot[slot] * ser if slot in per_slot else ser
+            slots = [per_slot.get(slot, one).coeffs for slot in range(1, self.n + 1)]
+            _add_slot_products(out, c, slots, hi)
         return {e: c for e, c in out.items() if c}
 
     def to_json_dict(self) -> dict:
@@ -707,23 +691,11 @@ class OmegaDifferential:
 def laplace_expansion_at_infinity(g: int, n: int, hi: int) -> Dict[MultiIndex, Fraction]:
     """W_{g,n}(x(z)) prod x'(z_i) as coefficients of prod z_i^-e_i."""
     w = laplace_W(g, n, hi)
-    pows: Dict[int, LaurentSeries] = {}
+    parts = {a for alpha in w.coeffs for a in alpha}
+    pows = {a: pullback_series(a, "z", hi).coeffs for a in parts}
     out: Dict[MultiIndex, Fraction] = {}
     for alpha, v in w.ordered_items():
-        for a in alpha:
-            if a not in pows:
-                pows[a] = pullback_series(a, "z", hi)
-
-        def rec(idx: int, exps: Tuple[int, ...], coeff: Fraction):
-            if idx == len(alpha):
-                if sum(exps) <= hi:
-                    out[exps] = out.get(exps, Fraction(0)) + coeff
-                return
-            for m, c in pows[alpha[idx]].coeffs.items():
-                if sum(exps) + m <= hi:
-                    rec(idx + 1, exps + (m,), coeff * c)
-
-        rec(0, (), v)
+        _add_slot_products(out, v, [pows[a] for a in alpha], hi)
     return {e: c for e, c in out.items() if c}
 
 
@@ -736,12 +708,10 @@ def tr_agreement_check(g: int, n: int, hi: int) -> List[str]:
         findings.append(f"(g,n)=({g},{n}): poles outside +-1: {sorted(bad_poles)}")
     got = om.expand_at_infinity(hi)
     want = laplace_expansion_at_infinity(g, n, hi)
-    for e in set(got) | set(want):
-        if sum(e) > hi:
-            continue
-        gv, wv = got.get(e, Fraction(0)), want.get(e, Fraction(0))
-        if gv != wv:
-            findings.append(f"(g,n)=({g},{n}) exponent {e}: residue {gv} != laplace {wv}")
+    findings.extend(
+        f"(g,n)=({g},{n}) exponent {e}: residue {gv} != laplace {wv}"
+        for e, gv, wv in _mismatches(got, want, hi)
+    )
     return findings
 
 
@@ -762,49 +732,20 @@ def norbury_substitution_check(g: int, n: int, cap: int) -> List[str]:
     """F^comb_{g,n}(u(x_1), ..., u(x_n)) = W*_{g,n}(x) coefficientwise."""
     if (g, n) not in {(1, 1), (0, 3)}:
         raise ValueError("supported (g, n): (1,1) and (0,3)")
-    star = laplace_W(g, n, cap).star_coeffs()
     u = solve_disc(cap + 2)
-    findings = []
-    if n == 1:
-        fcomb = LaurentSeries(
-            "y", {b: norbury_N(g, 1, (b,)) for b in range(1, cap + 1)}, 1, cap
-        )
-        lhs1 = laurent_compose(fcomb, u)
-        rhs1 = LaurentSeries("x", {a[0]: v for a, v in star.items()}, 1, cap)
-        for m in range(0, cap + 1):
-            lv, rv = lhs1.coeff(m), rhs1.coeff(m)
-            if lv != rv:
-                findings.append(f"(g,n)=({g},{n}) exponent {m}: comb {lv} != star {rv}")
-        return findings
-    upow: Dict[int, LaurentSeries] = {}
-    for b in range(1, cap + 1):
-        upow[b] = u if b == 1 else upow[b - 1] * u
+    upow = {1: u}
+    for b in range(2, cap + 1):
+        upow[b] = upow[b - 1] * u
     lhs: Dict[MultiIndex, Fraction] = {}
     for alpha in itertools.product(range(1, cap + 1), repeat=n):
         if sum(alpha) > cap:
             continue
         nv = norbury_N(g, n, alpha)
-        if not nv:
-            continue
-
-        def rec(idx: int, exps: Tuple[int, ...], coeff: Fraction):
-            if idx == n:
-                if sum(exps) <= cap:
-                    lhs[exps] = lhs.get(exps, Fraction(0)) + coeff
-                return
-            for m, c in upow[alpha[idx]].coeffs.items():
-                if sum(exps) + m <= cap:
-                    rec(idx + 1, exps + (m,), coeff * c)
-
-        rec(0, (), nv)
-    rhs: Dict[MultiIndex, Fraction] = {}
-    for alpha, v in star.items():
-        for perm in sorted(set(itertools.permutations(alpha))):
-            rhs[perm] = rhs.get(perm, Fraction(0)) + v
-    for e in set(lhs) | set(rhs):
-        if sum(e) > cap:
-            continue
-        lv, rv = lhs.get(e, Fraction(0)), rhs.get(e, Fraction(0))
-        if lv != rv:
-            findings.append(f"(g,n)=({g},{n}) exponent {e}: comb {lv} != star {rv}")
-    return findings
+        if nv:
+            _add_slot_products(lhs, nv, [upow[b].coeffs for b in alpha], cap)
+    star = laplace_W(g, n, cap).star_coeffs()
+    rhs = {perm: v for alpha, v in star.items() for perm in distinct_permutations(alpha)}
+    return [
+        f"(g,n)=({g},{n}) exponent {e}: comb {lv} != star {rv}"
+        for e, lv, rv in _mismatches(lhs, rhs, cap)
+    ]

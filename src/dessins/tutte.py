@@ -18,11 +18,13 @@ brute-force oracle.
 ``r_tilde_nc(mu, d)`` is the non-connected, partition-indexed variant:
 mu!\,[t^mu q^d] of the full (non-connected) partition function.  Parts of
 size 0 correspond to cylinder components and can be stripped freely.
+
+Both recursions only add and multiply integers from the seed 1, so they
+return ``int``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Tuple
 
@@ -39,20 +41,20 @@ def _subsets(items: Tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def r_tilde(g: int, n: int, alpha: Partition) -> Fraction:
+def r_tilde(g: int, n: int, alpha: Partition) -> int:
     alpha = tuple(sorted(alpha))
     if g < 0 or n < 1 or len(alpha) != n or any(a < 0 for a in alpha):
-        return Fraction(0)
+        return 0
     if (g, alpha) == (0, (0,)):
-        return Fraction(1)
+        return 1
     if 0 in alpha:
-        return Fraction(0)
+        return 0
     if sum(alpha) % 2:
-        return Fraction(0)
+        return 0
     # recurse on the largest entry; the value is symmetric in alpha
     a1 = alpha[-1]
     rest = alpha[:-1]
-    total = Fraction(0)
+    total = 0
     for i, ai in enumerate(rest):
         merged = tuple(sorted((a1 + ai - 2,) + rest[:i] + rest[i + 1 :]))
         total += ai * r_tilde(g, n - 1, merged)
@@ -72,19 +74,19 @@ def _strip_zeros(mu: Partition) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _r_nc(mu: Partition) -> Fraction:
+def _r_nc(mu: Partition) -> int:
     """Non-connected R~(mu), mu sorted, no zero parts."""
     if not mu:
-        return Fraction(1)
+        return 1
     if sum(mu) % 2:
-        return Fraction(0)
+        return 0
     i = mu[-1]
     lam = mu[:-1]  # mu - delta_i
 
     def lam_count(j):
         return sum(1 for a in lam if a == j)
 
-    total = Fraction(0)
+    total = 0
     seen = set()
     for j in lam:
         if j in seen or j < 1:
@@ -101,7 +103,7 @@ def _r_nc(mu: Partition) -> Fraction:
     return total
 
 
-def r_tilde_nc(mu: Dict[int, int] | Iterable[int], d: int) -> Fraction:
+def r_tilde_nc(mu: Dict[int, int] | Iterable[int], d: int) -> int:
     """mu! [t^mu q^d] of the non-connected partition function.
 
     ``mu`` is a partition (map part -> multiplicity, or iterable of parts);
@@ -114,10 +116,10 @@ def r_tilde_nc(mu: Dict[int, int] | Iterable[int], d: int) -> Fraction:
     else:
         parts = list(mu)
     if any(p < 0 for p in parts) or d < 0:
-        return Fraction(0)
+        return 0
     parts = tuple(sorted(p for p in parts if p > 0))
     if sum(parts) != 2 * d:
-        return Fraction(0)
+        return 0
     return _r_nc(parts)
 
 

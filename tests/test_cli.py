@@ -171,6 +171,8 @@ def test_export_correlator_json(tmp_path):
         ("verify", "--suites", "bivalent", "--deg-cap", "-1"),
         ("verify", "--suites", "all", "--var-cap", "-2"),
         ("verify", "--suites", ","),
+        ("verify", "--suites", "oracle", "--n-budget", "-1"),
+        ("export", "--what", "maps", "--n-budget", "-1"),
         ("--threads", "0", "zfun", "--dmax", "1"),
         ("--threads", "-1", "zfun", "--dmax", "1"),
     ],
@@ -222,18 +224,34 @@ def test_deg_cap_over_budget_exits_budget_with_message(argv):
         ("verify", "--suites", "bivalent", "--n-budget", "8"),
         ("tr", "--g", "5", "--n", "1"),
         ("export", "--what", "omega", "--g", "0", "--n", "7"),
+        ("tr", "--g", "0", "--n", "6", "--order", "13"),
+        ("export", "--what", "omega", "--g", "1", "--n", "1", "--order", "13"),
+        ("verify", "--suites", "tr", "--order", "13"),
+        ("export", "--what", "correlator", "--g", "4", "--n", "4", "--cap", "21"),
+        ("export", "--what", "correlator", "--g", "4", "--n", "4", "--cap", "40"),
     ],
     ids=" ".join,
 )
 def test_scan_and_tr_over_budget_exit_budget_with_message(argv):
     # the bivalent brute force needs up to 16 darts; tr is one past
-    # cli.TR_DEGREE_BUDGET = 4 in 2g - 2 + n
+    # cli.TR_DEGREE_BUDGET = 4 in 2g - 2 + n, or one past cli.ORDER_BUDGET = 12;
+    # a correlator is past cli.CORRELATOR_CAP_BUDGET = 20
     _assert_budget_error(argv)
 
 
 def test_tr_at_degree_budget_runs():
     code, out = run_cli("tr", "--g", "2", "--n", "2", "--order", "2")
     assert code == 0 and json.loads(out)["g"] == 2
+
+
+def test_order_and_correlator_cap_at_budget_run():
+    code, out = run_cli("tr", "--g", "1", "--n", "1", "--order", str(cli.ORDER_BUDGET))
+    assert code == 0 and json.loads(out)["expansion"]
+    code, out = run_cli(
+        "export", "--what", "correlator", "--g", "0", "--n", "1",
+        "--cap", str(cli.CORRELATOR_CAP_BUDGET),
+    )
+    assert code == 0 and json.loads(out)["cap"] == cli.CORRELATOR_CAP_BUDGET
 
 
 def test_parser_built_once_with_a_fresh_namespace_per_request():

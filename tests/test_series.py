@@ -11,7 +11,7 @@ from dessins.series import (
     Monomial,
     Poly,
     RationalFn,
-    laurent_compose,
+    distinct_permutations,
     parse_poly,
     solve_disc,
 )
@@ -128,23 +128,9 @@ def test_laurent_window_rules():
     assert h.coeff(3) == 1 and h.coeff(5) == 1
 
 
-def test_laurent_compose_identity_and_square():
-    g = solve_disc(5)
-    f = LaurentSeries("y", {1: 1}, 1, 6)
-    assert laurent_compose(f, g) == g
-    f2 = LaurentSeries("y", {2: 1}, 2, 6)
-    assert laurent_compose(f2, g) == g * g
-
-
-def test_laurent_compose_rejects_negative_inner_powers():
-    g = solve_disc(4)
-    f = LaurentSeries("y", {1: 1, -1: 1}, -1, 4)
-    with pytest.raises(ValueError):
-        laurent_compose(f, g)
-    const = LaurentSeries("y", {0: 1}, 0, 4)
-    bad_inner = LaurentSeries("x", {0: 1, 1: 1}, 0, 4)
-    with pytest.raises(ValueError):
-        laurent_compose(const, bad_inner)
+def test_distinct_permutations_sorted_without_repeats():
+    assert distinct_permutations((1, 1, 2)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    assert distinct_permutations((3,)) == [(3,)]
 
 
 def test_rational_fn_normalization_and_expansion():

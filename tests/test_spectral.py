@@ -53,6 +53,46 @@ def test_loop_check_detects_a_bumped_coefficient(monkeypatch):
     assert exps == sorted(exps)
 
 
+def _bump_correlator(real):
+    def bumped(g, n, cap):
+        w = real(g, n, cap)
+        alpha = min(w.coeffs)
+        return sp.CorrelatorSeries(g, n, cap, {**w.coeffs, alpha: w.coeffs[alpha] + 1})
+
+    return bumped
+
+
+def _bump_omega(real):
+    def bumped(g, n):
+        om = real(g, n)
+        key = min(om.value, key=lambda k: (sum(p for _, p in k), k))
+        return sp.OmegaDifferential(g, n, {**om.value, key: om.value[key] + 1})
+
+    return bumped
+
+
+def _bump_norbury(real):
+    return lambda g, n, alpha: real(g, n, alpha) + (sum(alpha) == 4)
+
+
+@pytest.mark.parametrize(
+    "name,bump,check",
+    [
+        ("laplace_W", _bump_correlator, lambda: sp.bergman_check(10)),
+        ("tr_omega", _bump_omega, lambda: sp.tr_agreement_check(0, 3, 8)),
+        ("norbury_N", _bump_norbury, lambda: sp.norbury_substitution_check(1, 1, 9)),
+        ("norbury_N", _bump_norbury, lambda: sp.norbury_substitution_check(0, 3, 8)),
+    ],
+    ids=["bergman", "tr", "norbury11", "norbury03"],
+)
+def test_spectral_checks_detect_a_bumped_input(monkeypatch, name, bump, check):
+    monkeypatch.setattr(sp, name, bump(getattr(sp, name)))
+    findings = check()
+    assert findings
+    exps = [ast.literal_eval(re.search(r"exponents? (\(.*?\))", f).group(1)) for f in findings]
+    assert exps == sorted(exps)
+
+
 def test_disc_equation_is_loop_equation_at_01():
     # x W01 = W01^2 + 1 coefficientwise, reconstructed directly
     w = sp.laplace_W(0, 1, 14)
