@@ -59,8 +59,8 @@ EXIT_BUDGET = 3
 FLOW_DEPTH_BUDGET = 10
 
 # largest --deg-cap a verify request may give the commutator suites (witt,
-# bivalent); with --var-cap as large, the witt suite takes about 3 s at 14 on
-# a 2-core Xeon VM, and each 2 more roughly double the time
+# bivalent); with --var-cap as large, the witt suite takes about 1.4 s at 14
+# on a 2-core Xeon VM, and each 2 more roughly double the time
 COMMUTATOR_DEG_BUDGET = 14
 
 # largest Euler degree 2g - 2 + n a tr or export-omega request may ask for;

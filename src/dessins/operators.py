@@ -12,15 +12,19 @@ term in the difference sends every monomial within S to zero.  ``apply``
 relies on it: each operator compiles one term table, for the largest
 support it has met, grouped by derivative and indexed by the first
 derivative variable, and rebuilds it only when a larger support arrives.
-One table per operator, never one per support.
+Each built-in constructor returns one shared operator per argument value,
+so there is one table per operator once per process, never one per
+support or per call.
 
 The checks (``commutator_check`` here, ``opmatrix.cutjoin_matrix_check``)
-never apply an operator to a multi-term polynomial.  An ``ImageMemo`` keeps,
-for one operator and one check, the image of each monomial as integer
-numerators over its table's ``den``; ``composition_residual`` builds a
-composition such as a(b(m)) as an integer combination of the memoized images
-of the monomials of b(m), so each operator acts on each monomial once per
-check.  ``apply`` and the memo share one inner loop, ``_image_into``.
+never apply an operator to a multi-term polynomial.  Each operator keeps,
+next to its table, the image of every single monomial it has met, as
+integer numerators over its table's ``den``; ``composition_residual``
+builds a composition such as a(b(m)) as an integer combination of the
+memoized images of the monomials of b(m), so each operator acts on each
+monomial once per process, however many checks meet it.  ``apply`` does
+not fill the memo (a flow meets each monomial once), but it shares the
+inner loop ``_image_into`` with it.
 
 Available constructors:
 
@@ -41,8 +45,10 @@ s = the marker ``t-`` it tracks the number of negative boundary components.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from math import comb, lcm, perm
 from typing import Callable, Dict, Iterator, List, Tuple
 
@@ -107,6 +113,15 @@ class _TermTable:
         return cls(support, {k: tuple(v) for k, v in groups.items()}, den)
 
 
+# an exact polynomial as integer numerators over one denominator: its
+# monomials and their numerators in two parallel tuples, then the denominator
+Image = Tuple[Tuple[Monomial, ...], Tuple[int, ...], int]
+
+# one object for each monomial held by some memoized image, so the images
+# share their monomials instead of each keeping its own copy
+_SHARED_MONOMIALS: Dict[Monomial, Monomial] = {}
+
+
 @dataclass(frozen=True)
 class DiffOp:
     name: str
@@ -115,6 +130,10 @@ class DiffOp:
     # the term table of the largest support met so far (see ``term_table``)
     _table: _TermTable | None = field(
         default=None, init=False, compare=False, hash=False, repr=False
+    )
+    # the image of each monomial met so far (see ``image``)
+    _images: Dict[Monomial, Image] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
     def terms(self, support: Support) -> Iterator[DiffTerm]:
@@ -139,6 +158,28 @@ class DiffOp:
         table = _TermTable.build(self, support)
         object.__setattr__(self, "_table", table)
         return table
+
+    def image(self, m: Monomial) -> Image:
+        """The exact image of the single monomial ``m``, computed once and
+        kept for the life of the operator.
+
+        Each image keeps the ``den`` of the table that built it: the table
+        can be rebuilt for a larger support later, and its new ``den`` is a
+        multiple of the old one.
+        """
+        hit = self._images.get(m)
+        if hit is None:
+            table = self.term_table(Support(m.degree, m.t0_exp))
+            acc: Dict[Monomial, int] = {}
+            _image_into(acc, table.groups, m, 1)
+            share = _SHARED_MONOMIALS.setdefault
+            hit = (
+                tuple(share(k, k) for k, v in acc.items() if v),
+                tuple(v for v in acc.values() if v),
+                table.den,
+            )
+            self._images[share(m, m)] = hit
+        return hit
 
     def __repr__(self):
         return f"DiffOp({self.name})"
@@ -201,13 +242,19 @@ def _image_into(
 
 def apply(op: DiffOp, p: Poly) -> Poly:
     """The exact image of ``p`` under ``op``."""
+    return _apply_divided(op, p, 1)
+
+
+def _apply_divided(op: DiffOp, p: Poly, div: int) -> Poly:
+    """The exact image of ``p`` under ``op``, divided by the integer ``div``
+    in the one denominator every output coefficient is built over."""
     table = op.term_table(Support(p.max_degree, p.max_t0))
     groups = table.groups
     nums, den = p.lifted()
     acc: Dict[Monomial, int] = {}
     for m, c in nums.items():
         _image_into(acc, groups, m, c)
-    return Poly.from_numerators(acc, den * table.den)
+    return Poly.from_numerators(acc, den * table.den * div)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +262,27 @@ def apply(op: DiffOp, p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def _one_per_argument(make: Callable[..., DiffOp]) -> Callable[..., DiffOp]:
+    """One operator per argument value for the life of the process, so its
+    term table and its monomial images are built once and reused by every
+    later caller."""
+    signature = inspect.signature(make)
+    made: Dict[tuple, DiffOp] = {}
+
+    @wraps(make)
+    def get(*args, **kwargs) -> DiffOp:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = tuple(bound.arguments.values())
+        op = made.get(key)
+        if op is None:
+            op = made[key] = make(*args, **kwargs)
+        return op
+
+    return get
+
+
+@_one_per_argument
 def w0() -> DiffOp:
     def gen(s: Support) -> Iterator[DiffTerm]:
         yield _dt(1, {1: 1}, {0: 1})
@@ -224,6 +292,7 @@ def w0() -> DiffOp:
     return DiffOp("W0", (1,), gen)
 
 
+@_one_per_argument
 def p_plus() -> DiffOp:
     def gen(s: Support) -> Iterator[DiffTerm]:
         yield _dt(Fraction(1, 2), {1: 2}, {0: 1})  # k = 0 needs d_0
@@ -237,6 +306,7 @@ def p_plus() -> DiffOp:
     return DiffOp("P+", (2,), gen)
 
 
+@_one_per_argument
 def p_minus() -> DiffOp:
     def gen(s: Support) -> Iterator[DiffTerm]:
         yield _dt(1, {2: 1}, {0: 2})  # i = j = 0
@@ -250,6 +320,7 @@ def p_minus() -> DiffOp:
     return DiffOp("P-", (2,), gen)
 
 
+@_one_per_argument
 def w1() -> DiffOp:
     pp, pm = p_plus(), p_minus()
 
@@ -260,6 +331,7 @@ def w1() -> DiffOp:
     return DiffOp("W1", (2,), gen)
 
 
+@_one_per_argument
 def virasoro_l(i: int) -> DiffOp:
     """The constraint operator L_i, i >= -1 (sign convention of the loop
     equation section, pinned by the Witt bracket test)."""
@@ -285,6 +357,7 @@ def virasoro_l(i: int) -> DiffOp:
     return DiffOp(f"L{i}", (-(i + 2), -i), gen)
 
 
+@_one_per_argument
 def constraint_c() -> DiffOp:
     def gen(s: Support) -> Iterator[DiffTerm]:
         yield _dt(-1, {}, {0: 1})
@@ -363,12 +436,14 @@ def conjugate_shift(op: DiffOp, s) -> DiffOp:
     return DiffOp(f"{op.name}'", op.shifts, gen)
 
 
+@_one_per_argument
 def w1_reduced(marker: bool = False) -> DiffOp:
     """W1 conjugated to act on t0-free series (t- refined if ``marker``)."""
     s = Poly.marker("t-") if marker else 1
     return conjugate_shift(w1(), s)
 
 
+@_one_per_argument
 def w0_reduced(marker: bool = False) -> DiffOp:
     s = Poly.marker("t-") if marker else 1
     return conjugate_shift(w0(), s)
@@ -408,68 +483,41 @@ def basis_monomials(deg_cap: int, var_cap: int, t0_cap: int = 0) -> Iterator[Mon
     return rec(min(var_cap, deg_cap), deg_cap, {})
 
 
-# an exact polynomial as integer numerators over one denominator
-Lifted = Tuple[Dict[Monomial, int], int]
-
-
-class ImageMemo:
-    """The exact images of single monomials under one operator, each
-    computed once and kept for the life of this object (one check).
-
-    Each image is stored with the ``den`` of the table that produced it: the
-    table can be rebuilt for a larger support during a check, and its new
-    ``den`` is a multiple of the old one.
-    """
-
-    __slots__ = ("op", "memo")
-
-    def __init__(self, op: DiffOp):
-        self.op = op
-        self.memo: Dict[Monomial, Lifted] = {}
-
-    def of(self, m: Monomial) -> Lifted:
-        hit = self.memo.get(m)
-        if hit is None:
-            table = self.op.term_table(Support(m.degree, m.t0_exp))
-            acc: Dict[Monomial, int] = {}
-            _image_into(acc, table.groups, m, 1)
-            hit = self.memo[m] = ({k: v for k, v in acc.items() if v}, table.den)
-        return hit
-
-    def image(self, p: Lifted) -> Lifted:
-        """The image of ``p`` as the integer combination of memoized images."""
-        nums, den = p
-        acc, common = _combine([(c, self.of(m)) for m, c in nums.items() if c])
-        return acc, den * common
-
-
-def _combine(parts: List[Tuple[Fraction | int, Lifted]]) -> Lifted:
+def _combine(parts: List[Tuple[Fraction | int, Image]]) -> Tuple[Dict[Monomial, int], int]:
     """sum c * p over ``parts``, accumulated in integers over one common
-    denominator."""
-    den = lcm(*(c.denominator * d for c, (_, d) in parts))
+    denominator: (numerators, denominator)."""
+    den = lcm(*(c.denominator * d for c, (_, _, d) in parts))
     acc: Dict[Monomial, int] = {}
-    for c, (nums, d) in parts:
+    for c, (monos, nums, d) in parts:
         f = c.numerator * (den // (c.denominator * d))
-        for k, v in nums.items():
+        for k, v in zip(monos, nums):
             acc[k] = acc.get(k, 0) + f * v
     return acc, den
 
 
+def _image_of(op: DiffOp, p: Image) -> Image:
+    """The image of ``p`` under ``op``, as the integer combination of the
+    memoized images of its monomials."""
+    monos, nums, den = p
+    acc, common = _combine([(c, op.image(m)) for m, c in zip(monos, nums) if c])
+    return tuple(acc), tuple(acc.values()), den * common
+
+
 def composition_residual(
-    m: Monomial, parts: List[Tuple[Fraction, Tuple[ImageMemo, ...]]]
+    m: Monomial, parts: List[Tuple[Fraction, Tuple[DiffOp, ...]]]
 ) -> Poly | None:
     """sum c * (o_1 o_2 ... o_k)(m) over ``parts``, each a coefficient and a
-    chain of operator images applied right to left; None when it vanishes.
+    chain of operators applied right to left; None when it vanishes.
 
-    Every operator acts only on single monomials, through its memo, and a
-    ``Poly`` is built only for a nonzero residual.
+    Every operator acts only on single monomials, through its memoized
+    images, and a ``Poly`` is built only for a nonzero residual.
     """
     terms = []
     for c, chain in parts:
         if c:
-            p = chain[-1].of(m)
-            for images in reversed(chain[:-1]):
-                p = images.image(p)
+            p = chain[-1].image(m)
+            for op in reversed(chain[:-1]):
+                p = _image_of(op, p)
             terms.append((c, p))
     acc, den = _combine(terms)
     if not any(acc.values()):
@@ -489,20 +537,19 @@ def commutator_check(
     """Residuals of (a b - b a - scale*expect) on basis monomials.
 
     Every application is exact, so a nonzero residual is a genuine finding.
-    Each operator acts on each monomial at most once per check (see
+    Each operator acts on each monomial at most once per process (see
     ``composition_residual``).
     """
     scale = Fraction(scale)
     basis = basis_monomials(deg_cap, var_cap, t0_cap)
     # size both tables once for the check: every image of a basis monomial
-    # has degree <= top; a t0 that grows still rebuilds them (see ImageMemo)
+    # has degree <= top; a t0 that grows still rebuilds them (see DiffOp.image)
     top = deg_cap + max(0, *a.shifts, *b.shifts)
     for op in (a, b):
         op.term_table(Support(top, t0_cap))
-    ia, ib = ImageMemo(a), ImageMemo(b)
-    parts = [(Fraction(1), (ia, ib)), (Fraction(-1), (ib, ia))]
+    parts = [(Fraction(1), (a, b)), (Fraction(-1), (b, a))]
     if expect is not None and scale != 0:
-        parts.append((-scale, (ImageMemo(expect),)))
+        parts.append((-scale, (expect,)))
     residuals = []
     for m in basis:
         res = composition_residual(m, parts)

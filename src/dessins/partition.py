@@ -64,8 +64,9 @@ def partition_function(d_max: int, with_marker: bool = False) -> QSeries:
 
 
 def _flow_step(op: ops.DiffOp, layer: Poly, k: int) -> Poly:
-    """Layer k + 1 of a flow from layer k: op(layer) / (k + 1)."""
-    return ops.apply(op, layer).scale(Fraction(1, k + 1))
+    """Layer k + 1 of a flow from layer k: op(layer) / (k + 1), with the
+    division folded into the denominator of the image."""
+    return ops._apply_divided(op, layer, k + 1)
 
 
 def partition_function_bivalent(

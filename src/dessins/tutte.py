@@ -51,6 +51,11 @@ def r_tilde(g: int, n: int, alpha: Partition) -> int:
         return 0
     if sum(alpha) % 2:
         return 0
+    # a genus-g surface with n positive boundaries has d = 2g - 2 + n + n-
+    # vertices with n- >= 1 and sum(alpha) = 2d edges; without this bound the
+    # splitting sum would walk every genus below g
+    if sum(alpha) // 2 < 2 * g - 1 + n:
+        return 0
     # recurse on the largest entry; the value is symmetric in alpha
     a1 = alpha[-1]
     rest = alpha[:-1]

@@ -254,6 +254,15 @@ def test_order_and_correlator_cap_at_budget_run():
     assert code == 0 and json.loads(out)["cap"] == cli.CORRELATOR_CAP_BUDGET
 
 
+def test_correlator_at_a_huge_genus_exits_at_once():
+    # no surface of genus 10^6 has perimeter 4, so the table is empty; the
+    # timeout turns a walk over every lower genus into a failure
+    argv = ("export", "--what", "correlator", "--g", "1000000", "--n", "1", "--cap", "4")
+    proc = _run_module(argv, {}, timeout=20)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"cap": 4, "coefficients": [], "g": 1000000, "n": 1}
+
+
 def test_parser_built_once_with_a_fresh_namespace_per_request():
     first = cli._parser().parse_args(["verify", "--suites", "witt", "--deg-cap", "3"])
     first.deg_cap = -1
@@ -279,10 +288,11 @@ def test_bad_threads_env_exits_usage_with_message():
     _assert_usage_error(("zfun", "--dmax", "1"), {"DESSINS_THREADS": "x"})
 
 
-def _run_module(argv, extra_env):
+def _run_module(argv, extra_env, timeout=None):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **extra_env}
     return subprocess.run(
-        [sys.executable, "-m", "dessins.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "dessins.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=timeout,
     )
 
 

@@ -226,6 +226,13 @@ def _as_text(residuals):
     return [(m.as_str(), p.as_str()) for m, p in residuals]
 
 
+def _cold(args):
+    """The operators of ``args`` wrapped around the same generators in new
+    ``DiffOp`` objects, which start with no table and no images."""
+    return tuple(ops.DiffOp(a.name, a.shifts, a.gen) if isinstance(a, ops.DiffOp) else a
+                 for a in args)
+
+
 @pytest.mark.parametrize("name", [*WRONG_BRACKETS, *PASSING_BRACKETS])
 def test_commutator_check_matches_five_apply_reference(name, monkeypatch):
     make = WRONG_BRACKETS.get(name) or PASSING_BRACKETS[name]
@@ -235,11 +242,49 @@ def test_commutator_check_matches_five_apply_reference(name, monkeypatch):
     def no_apply(*args, **kwargs):
         raise AssertionError("commutator_check called apply")
 
-    # fresh operators, so their tables start empty inside the check
+    # cold operators, so their tables and images start empty inside the check
     monkeypatch.setattr(ops, "apply", no_apply)
-    got = ops.commutator_check(*make(), 6, 6)
+    got = ops.commutator_check(*_cold(make()), 6, 6)
     assert got == want
     assert _as_text(got) == _as_text(want)
+
+
+def test_constructors_return_one_operator_per_argument_value():
+    for make in (ops.w0, ops.w1, ops.p_plus, ops.p_minus, ops.constraint_c,
+                 ops.w0_reduced, ops.w1_reduced):
+        assert make() is make()
+    assert ops.virasoro_l(3) is ops.virasoro_l(3) is not ops.virasoro_l(2)
+    for make in (ops.w0_reduced, ops.w1_reduced):
+        assert make(True) is make(marker=True) is not make(marker=False)
+        assert make() is make(False)
+    with pytest.raises(ValueError, match="i >= -1"):
+        ops.virasoro_l(-2)
+
+
+def test_second_check_on_warm_operators_adds_no_images():
+    a, b, expect = _cold((L(0), L(2), L(2)))
+    first = ops.commutator_check(a, b, expect, -2, 6, 6)
+    sizes = [len(op._images) for op in (a, b, expect)]
+    assert all(sizes)
+    second = ops.commutator_check(a, b, expect, -2, 6, 6)
+    assert [len(op._images) for op in (a, b, expect)] == sizes
+    assert first == second == []
+    # a wrong scale leaves residuals, the same on warm operators as on cold ones
+    wrong = ops.commutator_check(a, b, expect, 3, 6, 6)
+    assert [len(op._images) for op in (a, b, expect)] == sizes
+    assert wrong and wrong == ops.commutator_check(*_cold((a, b, expect)), 3, 6, 6)
+
+
+def test_small_then_large_deg_cap_on_one_operator():
+    # images memoized by a small check, with a small table and den, are
+    # reused by a larger one that rebuilds the table with a larger den
+    g, h = _growing_den_op(), _growing_den_op()
+    args = (ops.w1(), Fraction(1, 3))
+    for deg_cap, t0_cap in ((3, 1), (6, 3)):
+        want = _reference_commutator_check(
+            _growing_den_op(), _growing_den_op(), *args, deg_cap, deg_cap, t0_cap
+        )
+        assert want and ops.commutator_check(g, h, *args, deg_cap, deg_cap, t0_cap) == want
 
 
 def test_commutator_check_on_operators_with_warm_tables():
@@ -341,6 +386,7 @@ def test_term_table_leaves_equality_and_hash_alone():
     a, b = ops.DiffOp("W0", (1,), gen), ops.DiffOp("W0", (1,), gen)
     before = hash(a)
     ops.apply(a, P(({1: 2}, 1)))
+    assert not ops.commutator_check(a, a, None, 0, 3, 3) and a._images and not b._images
     assert a == b and hash(a) == before == hash(b) and repr(a) == "DiffOp(W0)"
 
 

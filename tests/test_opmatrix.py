@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -79,6 +81,25 @@ def test_cutjoin_matrix_check_matches_apply_reference(wrong_d, monkeypatch):
     want = _reference_cutjoin_matrix_check(3, 8)
     assert {f.split()[0] for f in want} == {f"d={wrong_d}", f"d={wrong_d + 1}"}
     assert om.cutjoin_matrix_check(3, 8) == want
+
+
+def test_cutjoin_matrix_check_builds_each_table_once(monkeypatch):
+    # cold copies of W1 and of every K_d, so each table is built inside the
+    # check, once, for the largest support it meets
+    assembled, w1 = om.assembled_operator, ops.w1()
+    monkeypatch.setattr(om, "assembled_operator",
+                        lambda d, cap: dataclasses.replace(assembled(d, cap)))
+    monkeypatch.setattr(ops, "w1", lambda: dataclasses.replace(w1))
+    built = Counter()
+    build = ops._TermTable.build
+
+    def counting(op, support):
+        built[op.name] += 1
+        return build(op, support)
+
+    monkeypatch.setattr(ops._TermTable, "build", counting)
+    assert om.cutjoin_matrix_check(2, 8) == []
+    assert built == {"K_0": 1, "K_1": 1, "K_2": 1, "W1": 1}
 
 
 def test_vacuum_consistency():

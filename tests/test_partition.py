@@ -34,6 +34,13 @@ def test_layer_homogeneity():
         assert all(m.degree == 2 * d for m in z.layer(d).terms)
 
 
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_flow_step_is_the_scaled_image(k):
+    layer = P(({1: 2, MARKER_NEG: 1}, Fraction(3, 4)), ({2: 1}, Fraction(-5, 6)), ({}, 2))
+    for op in (ops.w1_reduced(marker=True), ops.w0_reduced()):
+        assert pt._flow_step(op, layer, k) == ops.apply(op, layer).scale(Fraction(1, k + 1))
+
+
 def test_connected_log_basics():
     z = pt.partition_function(3)
     c = pt.connected(z)

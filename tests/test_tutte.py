@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from hypothesis import given, settings
@@ -135,3 +136,50 @@ def test_shared_enumerator_and_mu_factorial_match_reference():
                 for v in set(alpha):
                     mu_fact *= factorial(alpha.count(v))
                 assert mu_factorial(alpha) == mu_fact
+
+
+@lru_cache(maxsize=None)
+def _unbounded_r_tilde(g, n, alpha):
+    """The recursion without the early zero for a genus too large for
+    sum(alpha): the splitting sum walks every genus up to g."""
+    alpha = tuple(sorted(alpha))
+    if g < 0 or n < 1 or len(alpha) != n or any(a < 0 for a in alpha):
+        return 0
+    if (g, alpha) == (0, (0,)):
+        return 1
+    if 0 in alpha or sum(alpha) % 2:
+        return 0
+    a1, rest = alpha[-1], alpha[:-1]
+    total = 0
+    for i, ai in enumerate(rest):
+        total += ai * _unbounded_r_tilde(g, n - 1, (a1 + ai - 2,) + rest[:i] + rest[i + 1:])
+    for k in range(0, a1 - 1):
+        l = a1 - 2 - k
+        total += _unbounded_r_tilde(g - 1, n + 1, (k, l) + rest)
+        for mask in range(1 << len(rest)):
+            i1 = tuple(a for j, a in enumerate(rest) if mask >> j & 1)
+            i2 = tuple(a for j, a in enumerate(rest) if not mask >> j & 1)
+            for g1 in range(g + 1):
+                total += (_unbounded_r_tilde(g1, len(i1) + 1, (k,) + i1)
+                          * _unbounded_r_tilde(g - g1, len(i2) + 1, (l,) + i2))
+    return total
+
+
+def test_genus_bound_keeps_every_value():
+    # every key with sum(alpha) <= 14 and g <= 4, odd sums included
+    nonzero = 0
+    for total in range(1, 15):
+        for n in range(1, total + 1):
+            for alpha in sorted_multi(total, n, 1):
+                for g in range(5):
+                    want = _unbounded_r_tilde(g, n, alpha)
+                    assert tutte.r_tilde(g, n, alpha) == want, (g, alpha)
+                    nonzero += bool(want)
+    assert nonzero > 400
+
+
+def test_genus_too_large_for_the_perimeters_is_zero_at_once():
+    before = tutte.r_tilde.cache_info().currsize
+    assert tutte.r_tilde(10**6, 1, (4,)) == 0
+    assert tutte.r_tilde(2, 1, (4,)) == 0 and tutte.r_tilde(1, 1, (4,)) == 1
+    assert tutte.r_tilde.cache_info().currsize <= before + 3
