@@ -51,7 +51,6 @@ from .maps import (
     EnumSpec,
     count_dessins,
     directed_maps,
-    lattice_points,
     norbury_N,
 )
 from .opmatrix import KernelBlock, adjoint_check, cutjoin_matrix_check, kernel_block

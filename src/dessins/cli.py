@@ -346,8 +346,8 @@ def _suite_tr(args) -> List[str]:
 
 def _suite_norbury(args) -> List[str]:
     out = spectral.tree_series_check(8)
-    out.extend(spectral.norbury_substitution_check(1, 1, 9))
-    out.extend(spectral.norbury_substitution_check(0, 3, 8))
+    for g, n, cap in [(1, 1, 9), (0, 3, 8), (0, 4, 8), (1, 2, 8)]:
+        out.extend(spectral.norbury_substitution_check(g, n, cap))
     return out
 
 

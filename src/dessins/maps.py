@@ -27,6 +27,12 @@ with k components and Euler characteristic chi the total genus is
 (2k - chi)/2.  That one walk, ``sign_pattern_maps``, feeds both the count
 tables here and the kernel structures of ``opmatrix``.
 
+Lattice points of metric ribbon graphs (integer edge lengths with
+prescribed face perimeters) are counted in one place, ``lattice_series``,
+which reads every face-sum vector at once off the edge generating function.
+It gives both the kernel blocks of ``opmatrix`` (lengths >= 0) and the
+Norbury counts here (lengths >= 1).
+
 This module is the ground truth the operator routes are tested against; it
 must stay independent of them, so it shares no code with the Fock-space
 side.
@@ -35,6 +41,7 @@ side.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -353,6 +360,15 @@ def _dessin_table(
     return table
 
 
+def _mu_factorial(alpha: Sequence[int]) -> int:
+    """mu(alpha)!: the product of the factorials of the multiplicities of
+    the entries of ``alpha``, the number of relabelings that fix it."""
+    out = 1
+    for v in set(alpha):
+        out *= factorial(alpha.count(v))
+    return out
+
+
 def count_dessins(spec: EnumSpec, budget: int = DEFAULT_DART_BUDGET) -> Fraction:
     """Sum of 1/#Aut over iso classes matching ``spec``.
 
@@ -367,9 +383,6 @@ def count_dessins(spec: EnumSpec, budget: int = DEFAULT_DART_BUDGET) -> Fraction
         raise BudgetExceeded(f"{spec.n_darts} darts exceed budget {budget}")
     table = _dessin_table(spec.v4, spec.v2, spec.connected_only, budget)
     perims = tuple(sorted(spec.alpha))
-    relabelings = 1
-    for v in set(spec.alpha):
-        relabelings *= factorial(spec.alpha.count(v))
     total = 0
     for (g, n_minus, pp), cnt in table.items():
         if n_minus != spec.n_minus or pp != perims:
@@ -377,54 +390,49 @@ def count_dessins(spec: EnumSpec, budget: int = DEFAULT_DART_BUDGET) -> Fraction
         if spec.g is not None and g != spec.g:
             continue
         total += cnt
-    return Fraction(total * relabelings, centralizer_order((4,) * spec.v4 + (2,) * spec.v2))
+    valences = (4,) * spec.v4 + (2,) * spec.v2
+    return Fraction(total * _mu_factorial(spec.alpha), centralizer_order(valences))
 
 
-def lattice_points(
-    incidence: Sequence[Dict[int, int]],
-    targets: Sequence[int],
-    min_value: int = 0,
-) -> int:
-    """Number of integer edge labelings x_e >= min_value with the prescribed
-    per-face sums.
+# one edge of a ribbon graph: (face, multiplicity) pairs, ((f, 2),) for an
+# edge that borders face f on both sides
+Edge = Tuple[Tuple[int, int], ...]
 
-    ``incidence[e]`` maps face index -> multiplicity of edge e in that face.
-    Solved by depth-first search with residual-sum pruning.
+
+def lattice_series(
+    edges: Sequence[Edge], n_faces: int, top: int, min_length: int = 0
+) -> Dict[Tuple[int, ...], int]:
+    """Face-sum vector -> number of integer edge lengths >= ``min_length``
+    with those face sums, for every vector with entry sum <= ``top``.
+
+    These are the coefficients of prod_e x^(min_length inc(e)) / (1 - x^inc(e)),
+    x^inc(e) = prod_f x_f^mult, expanded one edge at a time from the vector
+    of the shortest lengths.
     """
-    residual = list(targets)
-    if min_value:
-        for e, inc in enumerate(incidence):
-            for f, m in inc.items():
-                residual[f] -= m * min_value
-        if any(r < 0 for r in residual):
-            return 0
-
-    def rec(e: int) -> int:
-        if e == len(incidence):
-            return 1 if all(r == 0 for r in residual) else 0
-        inc = incidence[e]
-        ub = min(residual[f] // m for f, m in inc.items())
-        if ub < 0:
-            return 0
-        total = 0
-        for x in range(ub + 1):
-            if x:
-                for f, m in inc.items():
-                    residual[f] -= m
-            if all(r >= 0 for r in residual):
-                total += rec(e + 1)
-        for f, m in inc.items():
-            residual[f] += m * ub
-        return total
-
-    return rec(0)
+    low = [0] * n_faces
+    for edge in edges:
+        for f, mult in edge:
+            low[f] += min_length * mult
+    series = {tuple(low): 1} if sum(low) <= top else {}
+    for edge in edges:
+        step = sum(mult for _, mult in edge)
+        out = dict(series)
+        for mono, c in series.items():
+            m = list(mono)
+            for _ in range((top - sum(mono)) // step):
+                for f, mult in edge:
+                    m[f] += mult
+                key = tuple(m)
+                out[key] = out.get(key, 0) + c
+        series = out
+    return series
 
 
 # ---------------------------------------------------------------------------
 # Norbury lattice counts for ordinary ribbon graphs
 # ---------------------------------------------------------------------------
 
-NORBURY_SUPPORTED = {(0, 3), (1, 1)}
+NORBURY_SUPPORTED = {(0, 3), (1, 1), (0, 4), (1, 2)}
 
 
 def _valence_types(g: int, n: int) -> List[Tuple[int, ...]]:
@@ -449,69 +457,59 @@ def _valence_types(g: int, n: int) -> List[Tuple[int, ...]]:
     return [tuple(t) for t in out]
 
 
-@dataclass(frozen=True)
-class NorburyCell:
-    """A ribbon-graph cell with labeled faces, carrying its orbit weight."""
-
-    incidence: Tuple[Tuple[Tuple[int, int], ...], ...]  # per edge: (face, mult)
-    weight: Fraction  # 1 / |Z(s0)| per labeled structure
+@lru_cache(maxsize=None)
+def _norbury_cells(g: int, n: int) -> Tuple[Tuple[Tuple[Edge, ...], Fraction], ...]:
+    """(edges, weight) of the connected ribbon graphs of type (g, n) with
+    valences >= 3 and s0 canonical, faces numbered in orbit order.  Each
+    graph weighs 1/|Z(s0)|; graphs with the same edge incidences are kept
+    once, with their weights summed."""
+    if (g, n) not in NORBURY_SUPPORTED:
+        raise ValueError(f"unsupported (g, n) = {(g, n)}; supported: {sorted(NORBURY_SUPPORTED)}")
+    cells: Dict[Tuple[Edge, ...], Fraction] = {}
+    for valences in _valence_types(g, n):
+        s0 = canonical_s0(valences)
+        w = Fraction(1, centralizer_order(valences))
+        for s1 in fpf_involutions(len(s0)):
+            # v - e = 2 - 2g - n by the valence type, so n faces fix the genus
+            faces = face_orbits(s0, s1)
+            if len(faces) != n or len(set(components(s0, s1))) > 1:
+                continue
+            face_of = {d: i for i, f in enumerate(faces) for d in f}
+            edges = tuple(sorted(
+                tuple(sorted(Counter((face_of[d], face_of[s1[d]])).items()))
+                for d in range(len(s0))
+                if d < s1[d]
+            ))
+            cells[edges] = cells.get(edges, 0) + w
+    return tuple(cells.items())
 
 
 @lru_cache(maxsize=None)
-def _norbury_cells(g: int, n: int) -> Tuple[NorburyCell, ...]:
-    if (g, n) not in NORBURY_SUPPORTED:
-        raise ValueError(f"unsupported (g, n) = {(g, n)}; supported: {sorted(NORBURY_SUPPORTED)}")
-    cells: List[NorburyCell] = []
-    for valences in _valence_types(g, n):
-        s0 = canonical_s0(valences)
-        nd = len(s0)
-        w = Fraction(1, centralizer_order(valences))
-        for s1 in fpf_involutions(nd):
-            comp = components(s0, s1)
-            if len(set(comp)) > 1:
-                continue
-            faces = face_orbits(s0, s1)
-            if len(faces) != n:
-                continue
-            v = len(valences)
-            e = nd // 2
-            genus = (2 - (v - e + n)) // 2
-            if genus != g:
-                continue
-            face_of = {}
-            for i, f in enumerate(faces):
-                for d in f:
-                    face_of[d] = i
-            # one cell per labeling of the n faces
-            for perm in itertools.permutations(range(n)):
-                incidence = []
-                for d in range(nd):
-                    e2 = s1[d]
-                    if d < e2:
-                        inc: Dict[int, int] = {}
-                        for dd in (d, e2):
-                            f = perm[face_of[dd]]
-                            inc[f] = inc.get(f, 0) + 1
-                        incidence.append(tuple(sorted(inc.items())))
-                cells.append(NorburyCell(tuple(incidence), w))
-    return tuple(cells)
+def _norbury_table(g: int, n: int, total: int) -> Dict[Tuple[int, ...], Fraction]:
+    """Sorted perimeter vector with entry sum ``total`` -> sum over the cells
+    of the cell's weight times its lattice counts of every distinct ordering
+    of the vector."""
+    table: Dict[Tuple[int, ...], Fraction] = {}
+    for edges, w in _norbury_cells(g, n):
+        for perims, c in lattice_series(edges, n, total, min_length=1).items():
+            if sum(perims) == total:
+                key = tuple(sorted(perims))
+                table[key] = table.get(key, 0) + w * c
+    return table
 
 
 def norbury_N(g: int, n: int, alpha: Sequence[int]) -> Fraction:
     """Weighted number of integer metric ribbon graphs of type (g, n) with
     labeled boundary perimeters ``alpha`` (edge lengths are positive
-    integers; weight 1/#Aut)."""
-    if (g, n) not in NORBURY_SUPPORTED:
-        raise ValueError(f"unsupported (g, n) = {(g, n)}; supported: {sorted(NORBURY_SUPPORTED)}")
+    integers; weight 1/#Aut).
+
+    Orbit counting sums over the n! labelings of each cell's faces, which
+    count every distinct ordering of ``alpha`` mu(alpha)! times.
+    """
     if len(alpha) != n or any(a < 1 for a in alpha):
         raise ValueError("alpha must list one positive perimeter per boundary")
-    total = Fraction(0)
-    for cell in _norbury_cells(g, n):
-        incidence = [dict(inc) for inc in cell.incidence]
-        cnt = lattice_points(incidence, list(alpha), min_value=1)
-        if cnt:
-            total += cell.weight * cnt
-    return total
+    count = _norbury_table(g, n, sum(alpha)).get(tuple(sorted(alpha)), Fraction(0))
+    return count * _mu_factorial(alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,7 @@ def from_terms(name: str, terms: List[DiffTerm], shifts: Tuple[int, ...] | None 
 # ---------------------------------------------------------------------------
 
 
+@_one_per_argument
 def conjugate_shift(op: DiffOp, s) -> DiffOp:
     """Replace every d_0 in ``op`` by (d_0 + s), expanded binomially.
 
@@ -436,14 +437,12 @@ def conjugate_shift(op: DiffOp, s) -> DiffOp:
     return DiffOp(f"{op.name}'", op.shifts, gen)
 
 
-@_one_per_argument
 def w1_reduced(marker: bool = False) -> DiffOp:
     """W1 conjugated to act on t0-free series (t- refined if ``marker``)."""
     s = Poly.marker("t-") if marker else 1
     return conjugate_shift(w1(), s)
 
 
-@_one_per_argument
 def w0_reduced(marker: bool = False) -> DiffOp:
     s = Poly.marker("t-") if marker else 1
     return conjugate_shift(w0(), s)

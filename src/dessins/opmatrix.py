@@ -18,10 +18,12 @@ coefficients of the edge generating function
 
     sum_beta Pbar(beta+ | beta-) x^beta+ y^beta- = prod_e 1/(1 - x_{f+(e)} y_{f-(e)}),
 
-expanded through total degree cap - 2d.  Each coefficient is added to the
-sorted key (sort(beta+ + a+(R)), sort(beta-)), which counts every distinct
-ordering of both boundaries once; the sum over all labelings counts it
-mu(a+)! mu(a-)! times, so with acc the accumulated coefficients
+expanded through total degree cap - 2d (entry sum 2(cap - 2d)) by
+``maps.lattice_series``, the one lattice-point counter of the package, which
+also gives the Norbury counts.  Each coefficient is added to the sorted key
+(sort(beta+ + a+(R)), sort(beta-)), which counts every distinct ordering of
+both boundaries once; the sum over all labelings counts it mu(a+)! mu(a-)!
+times, so with acc the accumulated coefficients
 
     K[a+|a-] = prod(a+) mu(a+)! mu(a-)! 2^d acc[a+|a-] / (n-! |Z(s0)|).
 
@@ -88,34 +90,13 @@ class KernelBlock:
         }
 
 
-def _edge_series(
-    edges: Sequence[Tuple[int, int]], n_faces: int, top: int
-) -> Dict[Tuple[int, ...], int]:
-    """Coefficients of prod_e 1/(1 - x_{f+(e)} y_{f-(e)}) through total
-    degree ``top``: face-sum vector -> number of edge labelings in N^edges
-    with those face sums.  Each edge raises one + and one - face, so a
-    vector's total degree is half its entry sum."""
-    series = {(0,) * n_faces: 1}
-    for fp, fm in edges:
-        out = dict(series)
-        for mono, c in series.items():
-            m = list(mono)
-            for _ in range(top - sum(mono) // 2):
-                m[fp] += 1
-                m[fm] += 1
-                key = tuple(m)
-                out[key] = out.get(key, 0) + c
-        series = out
-    return series
-
-
 def _structures(
     d: int, n_plus: int, n_minus: int
-) -> Iterator[Tuple[List[Tuple[int, int]], List[int]]]:
+) -> Iterator[Tuple[List[maps.Edge], List[int]]]:
     """(edges, positive perimeters) of each connected quadrivalent structure
     with d vertices, n_plus positive and n_minus negative faces on the fixed
     sign pattern.  Faces are numbered positive first, then negative; each
-    edge is (face of its even dart, face of its odd dart)."""
+    edge borders the face of its even dart and the face of its odd dart."""
     valences = (4,) * d
     n = sum(valences)
     if n > maps.DEFAULT_DART_BUDGET:
@@ -131,7 +112,8 @@ def _structures(
             for i, f in enumerate(pos + neg):
                 for dart in f:
                     slot[dart] = i
-            yield [(slot[p], slot[s1[p]]) for p in range(0, n, 2)], [len(f) for f in pos]
+            edges = [((slot[p], 1), (slot[s1[p]], 1)) for p in range(0, n, 2)]
+            yield edges, [len(f) for f in pos]
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +130,8 @@ def kernel_block(g: int, n_plus: int, n_minus: int, cap: int) -> KernelBlock:
     # distinct orderings of both boundaries
     acc: Dict[Tuple[MultiIndex, MultiIndex], int] = {}
     for edges, perims in _structures(d, n_plus, n_minus):
-        for beta, c in _edge_series(edges, n_plus + n_minus, cap - 2 * d).items():
+        series = maps.lattice_series(edges, n_plus + n_minus, 2 * (cap - 2 * d))
+        for beta, c in series.items():
             a_plus = tuple(sorted(b + p for b, p in zip(beta, perims)))
             key = (a_plus, tuple(sorted(beta[n_plus:])))
             acc[key] = acc.get(key, 0) + c

@@ -53,7 +53,7 @@ from math import comb
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from . import tutte
-from .maps import norbury_N
+from .maps import NORBURY_SUPPORTED, norbury_N
 from .series import LaurentSeries, RationalFn, distinct_permutations, solve_disc, sorted_multi
 
 # pinned so that the residue recursion reproduces the Laplace coefficients
@@ -730,8 +730,8 @@ def tree_series_check(cap: int) -> List[str]:
 
 def norbury_substitution_check(g: int, n: int, cap: int) -> List[str]:
     """F^comb_{g,n}(u(x_1), ..., u(x_n)) = W*_{g,n}(x) coefficientwise."""
-    if (g, n) not in {(1, 1), (0, 3)}:
-        raise ValueError("supported (g, n): (1,1) and (0,3)")
+    if (g, n) not in NORBURY_SUPPORTED:
+        raise ValueError(f"supported (g, n): {sorted(NORBURY_SUPPORTED)}")
     u = solve_disc(cap + 2)
     upow = {1: u}
     for b in range(2, cap + 1):

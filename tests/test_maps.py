@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dessins import maps, opmatrix
+from lattice_reference import lattice_points
 
 
 def test_count_dessins_spec_examples():
@@ -136,7 +137,7 @@ def test_lattice_points_examples():
     assert structures
     edges, perims = structures[0]
     assert perims == [2]
-    table = opmatrix._edge_series(edges, 3, 5)
+    table = maps.lattice_series(edges, 3, 10)
     assert table[(0, 0, 0)] == 1  # all-zero targets
     assert table[(3, 1, 2)] == 1  # forced labeling
     assert table[(5, 2, 3)] == 1
@@ -146,8 +147,10 @@ def test_lattice_points_examples():
 def test_lattice_points_single_edge_forced():
     # one edge between one positive and one negative face: unique labeling
     for k in range(5):
-        assert maps.lattice_points([{0: 1, 1: 1}], [k, k]) == 1
-        assert maps.lattice_points([{0: 1, 1: 1}], [k, k + 1]) == 0
+        assert lattice_points([{0: 1, 1: 1}], [k, k]) == 1
+        assert lattice_points([{0: 1, 1: 1}], [k, k + 1]) == 0
+        series = maps.lattice_series([((0, 1), (1, 1))], 2, 2 * k + 1)
+        assert series[(k, k)] == 1 and (k, k + 1) not in series
 
 
 def test_norbury_values():
@@ -162,6 +165,36 @@ def test_norbury_values():
     assert maps.norbury_N(0, 3, (1, 2, 3)) == 1
     assert maps.norbury_N(0, 3, (2, 2, 2)) == 1
     assert maps.norbury_N(0, 3, (1, 1, 1)) == 0  # odd total
+    # Norbury's closed forms: N_{0,4} = (b1^2 + ... + b4^2)/4 - 1 for even b_i and,
+    # for odd b1, b2, N_{1,2} = (b1^2 + b2^2 - 2)(b1^2 + b2^2 - 10)/384
+    assert maps.norbury_N(0, 4, (2, 2, 2, 2)) == 3
+    assert maps.norbury_N(1, 2, (3, 3)) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1)])
+def test_lattice_series_equals_search_on_every_norbury_cell(g, n):
+    top = 10
+    cells = maps._norbury_cells(g, n)
+    assert cells
+    # every (1,1) edge borders the one face twice; (0,3) has such edges too
+    assert any(mult == 2 for edges, _ in cells for edge in edges for _, mult in edge)
+    want_n = {}
+    for edges, w in cells:
+        series = maps.lattice_series(edges, n, top, min_length=1)
+        incidence = [dict(edge) for edge in edges]
+        for alpha in itertools.product(range(1, top + 1), repeat=n):
+            if sum(alpha) > top:
+                continue
+            cnt = lattice_points(incidence, alpha, min_value=1)
+            assert series.get(alpha, 0) == cnt, (edges, alpha)
+            # summed over the n! labelings of the cell's faces
+            for perm in itertools.permutations(alpha):
+                want_n[alpha] = want_n.get(alpha, 0) + w * lattice_points(
+                    incidence, perm, min_value=1
+                )
+    assert any(want_n.values())
+    for alpha, want in want_n.items():
+        assert maps.norbury_N(g, n, alpha) == want, alpha
 
 
 def test_norbury_unsupported_type():

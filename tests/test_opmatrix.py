@@ -13,6 +13,7 @@ from dessins import operators as ops
 from dessins import opmatrix as om
 from dessins import partition as pt
 from dessins.series import Poly, sorted_multi
+from lattice_reference import lattice_points
 
 
 def test_pair_of_pants_blocks_match_operator_structure_constants():
@@ -106,6 +107,27 @@ def test_vacuum_consistency():
     assert om.vacuum_consistency_check(3, 8) == []
 
 
+def test_conjugated_tables_are_built_once_over_two_calls(monkeypatch):
+    # conjugate_shift returns one operator per argument value, so the second
+    # call of each check finds the conjugated tables built; L_7' and the
+    # cap-6 K_d' are used by no other test, so the first call builds them
+    built = Counter()
+    build = ops._TermTable.build
+
+    def counting(op, support):
+        built[op] += 1
+        return build(op, support)
+
+    monkeypatch.setattr(ops._TermTable, "build", counting)
+    z = pt.partition_function(3)
+    for _ in range(2):
+        pt.virasoro_residuals(z, i_max=7)
+        om.vacuum_consistency_check(2, 6)
+    conjugated = {op.name: n for op, n in built.items() if op.name.endswith("'")}
+    assert conjugated.keys() >= {"L7'", "K_0'", "K_1'", "K_2'"}
+    assert set(conjugated.values()) == {1}
+
+
 def test_degree_one_operator_equals_w1_on_window():
     k1 = om.assembled_operator(1, 8)
     w1 = ops.w1()
@@ -170,7 +192,7 @@ def _reference_block(g, n_plus, n_minus, cap):
                             for i, a in zip(neg, lm):
                                 targets[i] = a
                             if min(targets) >= 0:
-                                total += maps.lattice_points(incidence, targets)
+                                total += lattice_points(incidence, targets)
                 if total:
                     entries[(a_plus, a_minus)] = Fraction(math.prod(a_plus) * total, denom)
     return entries
@@ -191,12 +213,12 @@ def test_edge_series_equals_lattice_points_on_every_structure():
     structures = list(om._structures(2, 2, 2))
     assert structures
     for edges, _perims in structures:
-        table = om._edge_series(edges, 4, top)
-        incidence = [{fp: 1, fm: 1} for fp, fm in edges]
+        table = maps.lattice_series(edges, 4, 2 * top)
+        incidence = [dict(edge) for edge in edges]
         for beta in itertools.product(range(top + 1), repeat=4):
             if sum(beta[:2]) > top or sum(beta[2:]) > top:
                 continue
-            assert table.get(beta, 0) == maps.lattice_points(incidence, list(beta)), beta
+            assert table.get(beta, 0) == lattice_points(incidence, list(beta)), beta
 
 
 # sha256 of json.dumps(kernel_block(...).to_json_dict(), sort_keys=True),

@@ -82,8 +82,10 @@ def _bump_norbury(real):
         ("tr_omega", _bump_omega, lambda: sp.tr_agreement_check(0, 3, 8)),
         ("norbury_N", _bump_norbury, lambda: sp.norbury_substitution_check(1, 1, 9)),
         ("norbury_N", _bump_norbury, lambda: sp.norbury_substitution_check(0, 3, 8)),
+        ("norbury_N", _bump_norbury, lambda: sp.norbury_substitution_check(0, 4, 8)),
+        ("norbury_N", _bump_norbury, lambda: sp.norbury_substitution_check(1, 2, 8)),
     ],
-    ids=["bergman", "tr", "norbury11", "norbury03"],
+    ids=["bergman", "tr", "norbury11", "norbury03", "norbury04", "norbury12"],
 )
 def test_spectral_checks_detect_a_bumped_input(monkeypatch, name, bump, check):
     monkeypatch.setattr(sp, name, bump(getattr(sp, name)))
@@ -209,6 +211,8 @@ def test_tree_series_and_norbury_substitution():
     assert sp.tree_series_check(8) == []
     assert sp.norbury_substitution_check(1, 1, 9) == []
     assert sp.norbury_substitution_check(0, 3, 8) == []
+    assert sp.norbury_substitution_check(0, 4, 8) == []
+    assert sp.norbury_substitution_check(1, 2, 8) == []
 
 
 def test_norbury_substitution_rejects_unsupported():
