@@ -40,9 +40,7 @@ from .partition import (
     integral_points_series,
     partition_function,
     partition_function_bivalent,
-    reconstruct_full,
     virasoro_residuals,
-    z_one,
 )
 from .tutte import catalan, r_tilde, r_tilde_nc
 from .maps import (

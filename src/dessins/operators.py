@@ -1,30 +1,26 @@
 r"""Graded differential operators on exact polynomials.
 
-An operator here is a *term generator*, not a stored infinite sum: given a
-summary of the input support (maximal weighted degree and maximal t0
-exponent) it yields the finitely many terms ``c * t^mu * d^nu`` that can act
-nontrivially.  Finiteness of each action is a consequence of the grading,
-and the generator interface enforces it structurally.
-
-Every generator keeps the superset contract: for supports S within S'
-(componentwise), ``terms(S)`` is a sub-multiset of ``terms(S')``, and every
-term in the difference sends every monomial within S to zero.  ``apply``
-relies on it: each operator compiles one term table, for the largest
-support it has met, grouped by derivative and indexed by the first
-derivative variable, and rebuilds it only when a larger support arrives.
-Each built-in constructor returns one shared operator per argument value,
-so there is one table per operator once per process, never one per
-support or per call.
+An operator here is its normal-ordered symbol, not a stored infinite sum:
+for each derivative pattern d^nu = prod d_i^{nu_i} its *coefficient
+function* gives the finite polynomial that multiplies d^nu.  A pattern acts
+on a monomial only if it divides it, so each action is finite: ``apply``
+enumerates the patterns that divide each input monomial, up to the
+operator's ``order`` (its largest total derivative order), and looks up
+their coefficients.  Each operator evaluates each pattern's coefficient
+once, as integer numerators over its fixed denominator ``den``, and keeps
+the group for the life of the operator.  Each built-in constructor returns
+one shared operator per argument value, so each group is built once per
+process, however many flows and checks meet it.
 
 The checks (``commutator_check`` here, ``opmatrix.cutjoin_matrix_check``)
 never apply an operator to a multi-term polynomial.  Each operator keeps,
-next to its table, the image of every single monomial it has met, as
-integer numerators over its table's ``den``; ``composition_residual``
-builds a composition such as a(b(m)) as an integer combination of the
-memoized images of the monomials of b(m), so each operator acts on each
-monomial once per process, however many checks meet it.  ``apply`` does
-not fill the memo (a flow meets each monomial once), but it shares the
-inner loop ``_image_into`` with it.
+next to its groups, the image of every single monomial it has met, as
+integer numerators over its ``den``; ``composition_residual`` builds a
+composition such as a(b(m)) as an integer combination of the memoized
+images of the monomials of b(m), so each operator acts on each monomial
+once per process, however many checks meet it.  ``apply`` does not fill
+the image memo (a flow meets each monomial once), but it shares the inner
+loop ``_image_into`` with it.
 
 Available constructors:
 
@@ -35,8 +31,9 @@ Available constructors:
 * ``p_plus() / p_minus()`` -- the two halves of ``w1()``.
 * ``virasoro_l(i)`` -- L_i = -d_{i+2} + sum_j (j+1) t_{j+1} d_{i+j+1}
                              + sum_{k+l=i} d_k d_l, for i >= -1 (mixed
-  grading: shifts -(i+2) and -i).
+  grading: degree changes -(i+2) and -i).
 * ``constraint_c()`` -- C = -d_0 + 1.
+* ``from_terms(name, terms)`` -- an explicit finite list of ``DiffTerm``.
 
 ``conjugate_shift(op, s)`` replaces every occurrence of d_0 by (d_0 + s),
 expanded binomially; with s = 1 this removes t0 from the evolution, with
@@ -46,6 +43,7 @@ s = the marker ``t-`` it tracks the number of negative boundary components.
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
@@ -54,7 +52,15 @@ from typing import Callable, Dict, Iterator, List, Tuple
 
 from .series import MONO_ONE, Monomial, Poly
 
+# a derivative pattern prod d_i^e as sorted (i, e) pairs
 Ders = Tuple[Tuple[int, int], ...]
+
+# the polynomial multiplying one pattern: monomial -> coefficient
+Coeffs = Dict[Monomial, Fraction]
+
+# one memoized pattern group: the pattern's weighted degree and the
+# (numerator over the operator's den, monomial) pairs that multiply it
+Group = Tuple[int, Tuple[Tuple[int, Monomial], ...]]
 
 
 @dataclass(frozen=True)
@@ -64,53 +70,6 @@ class DiffTerm:
     coeff: Fraction
     mono: Monomial
     ders: Ders
-
-    @property
-    def shift(self) -> int:
-        return self.mono.degree - sum(i * e for i, e in self.ders)
-
-
-@dataclass(frozen=True)
-class Support:
-    """What the generator needs to know about the polynomial being acted on."""
-
-    max_deg: int
-    max_t0: int
-
-
-GenFn = Callable[[Support], Iterator[DiffTerm]]
-
-
-# one group of an operator's terms: the shared derivative, its weighted
-# degree and the (numerator, mono) pairs that multiply it; each numerator is
-# over the denominator of the whole table
-TermGroup = Tuple[Ders, int, Tuple[Tuple[int, Monomial], ...]]
-
-
-@dataclass(frozen=True)
-class _TermTable:
-    """The terms of ``gen(support)`` grouped by derivative; each group is
-    keyed by its first derivative variable, the derivative-free one by None.
-    Coefficients are stored as integer numerators over ``den``, the lcm of
-    their denominators."""
-
-    support: Support
-    groups: Dict[int | None, Tuple[TermGroup, ...]]
-    den: int
-
-    @classmethod
-    def build(cls, op: "DiffOp", support: Support) -> "_TermTable":
-        by_ders: Dict[Ders, List[Tuple[Fraction, Monomial]]] = {}
-        for t in op.terms(support):
-            by_ders.setdefault(t.ders, []).append((t.coeff, t.mono))
-        den = lcm(*(c.denominator for entries in by_ders.values() for c, _ in entries))
-        groups: Dict[int | None, List[TermGroup]] = {}
-        for ders, entries in by_ders.items():
-            key = ders[0][0] if ders else None
-            weight = sum(i * e for i, e in ders)
-            nums = tuple((c.numerator * (den // c.denominator), mono) for c, mono in entries)
-            groups.setdefault(key, []).append((ders, weight, nums))
-        return cls(support, {k: tuple(v) for k, v in groups.items()}, den)
 
 
 # an exact polynomial as integer numerators over one denominator: its
@@ -124,59 +83,52 @@ _SHARED_MONOMIALS: Dict[Monomial, Monomial] = {}
 
 @dataclass(frozen=True)
 class DiffOp:
+    """The operator sum over patterns D of coeffs(D) * d^D, normal ordered.
+
+    ``coeffs(D)`` is empty for every pattern of total order above ``order``,
+    and ``den`` times each of its coefficients is an integer.
+    """
+
     name: str
-    shifts: Tuple[int, ...]  # possible degree shifts of generated terms
-    gen: GenFn
-    # the term table of the largest support met so far (see ``term_table``)
-    _table: _TermTable | None = field(
-        default=None, init=False, compare=False, hash=False, repr=False
+    order: int
+    den: int
+    coeffs: Callable[[Ders], Coeffs]
+    # the group of each pattern met so far (see ``_group``)
+    _groups: Dict[Ders, Group] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
     # the image of each monomial met so far (see ``image``)
     _images: Dict[Monomial, Image] = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
-    def terms(self, support: Support) -> Iterator[DiffTerm]:
-        return self.gen(support)
-
-    def term_table(self, support: Support) -> _TermTable:
-        """The grouped terms for every input within ``support``.
-
-        One table per operator: it covers the componentwise-largest support
-        met so far and is rebuilt only when a support outside it arrives.
-        By the generator contract the extra terms of a larger support send
-        every monomial within a smaller one to zero.
-        """
-        table = self._table
-        if table is not None:
-            have = table.support
-            if support.max_deg <= have.max_deg and support.max_t0 <= have.max_t0:
-                return table
-            support = Support(
-                max(support.max_deg, have.max_deg), max(support.max_t0, have.max_t0)
-            )
-        table = _TermTable.build(self, support)
-        object.__setattr__(self, "_table", table)
-        return table
+    def _group(self, ders: Ders) -> Group:
+        """Evaluate and keep the group of the pattern ``ders``."""
+        entries = []
+        for mono, c in self.coeffs(ders).items():
+            n = c * self.den
+            if n.denominator != 1:
+                raise ValueError(
+                    f"{self.name}: coefficient {c} of {mono.as_str()} at {ders} "
+                    f"is not a multiple of 1/{self.den}"
+                )
+            if n:
+                entries.append((n.numerator, mono))
+        group = self._groups[ders] = (sum(i * e for i, e in ders), tuple(entries))
+        return group
 
     def image(self, m: Monomial) -> Image:
         """The exact image of the single monomial ``m``, computed once and
-        kept for the life of the operator.
-
-        Each image keeps the ``den`` of the table that built it: the table
-        can be rebuilt for a larger support later, and its new ``den`` is a
-        multiple of the old one.
-        """
+        kept for the life of the operator."""
         hit = self._images.get(m)
         if hit is None:
-            table = self.term_table(Support(m.degree, m.t0_exp))
             acc: Dict[Monomial, int] = {}
-            _image_into(acc, table.groups, m, 1)
+            _image_into(acc, self, m, 1)
             share = _SHARED_MONOMIALS.setdefault
             hit = (
                 tuple(share(k, k) for k, v in acc.items() if v),
                 tuple(v for v in acc.values() if v),
-                table.den,
+                self.den,
             )
             self._images[share(m, m)] = hit
         return hit
@@ -185,12 +137,18 @@ class DiffOp:
         return f"DiffOp({self.name})"
 
 
-def _dt(coeff, mono_exps: Dict, ders: Dict[int, int]) -> DiffTerm:
-    return DiffTerm(
-        Fraction(coeff),
-        Monomial(mono_exps),
-        tuple(sorted((i, e) for i, e in ders.items() if e)),
-    )
+def _added(*parts: Coeffs) -> Coeffs:
+    """The sum of coefficient polynomials, zero coefficients dropped."""
+    out: Coeffs = {}
+    for part in parts:
+        for m, c in part.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _t(*indices: int) -> Monomial:
+    """The monomial prod t_i over ``indices`` (each >= 1), with repetition."""
+    return Monomial._raw(tuple(sorted(Counter(indices).items())), sum(indices))
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +156,31 @@ def _dt(coeff, mono_exps: Dict, ders: Dict[int, int]) -> DiffTerm:
 # ---------------------------------------------------------------------------
 
 
-def _derive(m: Monomial, ders: Ders, weight: int) -> Tuple[int, Monomial] | None:
-    """prod d_i^e applied to ``m``: (integer factor, monomial), or None if zero.
+def _patterns(m: Monomial, order: int) -> List[Tuple[Ders, int]]:
+    """Every pattern of total order <= ``order`` that divides ``m``, with
+    the order left after it: the sub-multisets of m's integer variables.
+    Markers are never differentiated (they sort after every integer
+    variable)."""
+    pats: List[Tuple[Ders, int]] = [((), order)]
+    for k, e in m.exps:
+        if not isinstance(k, int):
+            break
+        pats += [
+            (ders + ((k, a),), left - a)
+            for ders, left in pats
+            if left
+            for a in range(1, min(e, left) + 1)
+        ]
+    return pats
 
-    ``weight`` is the weighted degree of ``ders``.
-    """
+
+def _derive(m: Monomial, ders: Ders, weight: int) -> Tuple[int, Monomial]:
+    """prod d_i^e applied to ``m``, for a pattern that divides it: (integer
+    factor, monomial).  ``weight`` is the weighted degree of ``ders``."""
     exps = dict(m.exps)
     fc = 1
     for i, e in ders:
-        have = exps.get(i, 0)
-        if have < e:
-            return None
+        have = exps[i]
         fc *= perm(have, e)
         if have == e:
             del exps[i]
@@ -218,26 +190,25 @@ def _derive(m: Monomial, ders: Ders, weight: int) -> Tuple[int, Monomial] | None
     return fc, Monomial._raw(tuple(exps.items()), m.degree - weight)
 
 
-def _image_into(
-    acc: Dict[Monomial, int], groups: Dict[int | None, Tuple[TermGroup, ...]],
-    m: Monomial, c: int,
-) -> None:
-    """Add ``c`` times the image of ``m`` under a term table's ``groups`` to
-    ``acc``, as numerators over the table's ``den``."""
-    # a group can act on m only if m has its first derivative variable
-    for key in (None, *(k for k, _ in m.exps)):
-        for ders, weight, entries in groups.get(key, ()):
-            if ders:
-                hit = _derive(m, ders, weight)
-                if hit is None:
-                    continue
-                fc, dm = hit
-                cm = c * fc
-            else:
-                dm, cm = m, c
-            for coeff, mono in entries:
-                nm = dm.mul(mono)
-                acc[nm] = acc.get(nm, 0) + cm * coeff
+def _image_into(acc: Dict[Monomial, int], op: DiffOp, m: Monomial, c: int) -> None:
+    """Add ``c`` times the image of ``m`` under ``op`` to ``acc``, as
+    numerators over ``op.den``."""
+    groups = op._groups
+    for ders, _ in _patterns(m, op.order):
+        group = groups.get(ders)
+        if group is None:
+            group = op._group(ders)
+        weight, entries = group
+        if not entries:
+            continue
+        if ders:
+            fc, dm = _derive(m, ders, weight)
+            cm = c * fc
+        else:
+            dm, cm = m, c
+        for coeff, mono in entries:
+            nm = dm.mul(mono)
+            acc[nm] = acc.get(nm, 0) + cm * coeff
 
 
 def apply(op: DiffOp, p: Poly) -> Poly:
@@ -248,13 +219,11 @@ def apply(op: DiffOp, p: Poly) -> Poly:
 def _apply_divided(op: DiffOp, p: Poly, div: int) -> Poly:
     """The exact image of ``p`` under ``op``, divided by the integer ``div``
     in the one denominator every output coefficient is built over."""
-    table = op.term_table(Support(p.max_degree, p.max_t0))
-    groups = table.groups
     nums, den = p.lifted()
     acc: Dict[Monomial, int] = {}
     for m, c in nums.items():
-        _image_into(acc, groups, m, c)
-    return Poly.from_numerators(acc, den * table.den * div)
+        _image_into(acc, op, m, c)
+    return Poly.from_numerators(acc, den * op.den * div)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +233,7 @@ def _apply_divided(op: DiffOp, p: Poly, div: int) -> Poly:
 
 def _one_per_argument(make: Callable[..., DiffOp]) -> Callable[..., DiffOp]:
     """One operator per argument value for the life of the process, so its
-    term table and its monomial images are built once and reused by every
+    groups and its monomial images are built once and reused by every
     later caller."""
     signature = inspect.signature(make)
     made: Dict[tuple, DiffOp] = {}
@@ -282,53 +251,56 @@ def _one_per_argument(make: Callable[..., DiffOp]) -> Callable[..., DiffOp]:
     return get
 
 
+def _single(ders: Ders) -> int | None:
+    """The index k of a first-order pattern d_k, else None."""
+    return ders[0][0] if len(ders) == 1 and ders[0][1] == 1 else None
+
+
 @_one_per_argument
 def w0() -> DiffOp:
-    def gen(s: Support) -> Iterator[DiffTerm]:
-        yield _dt(1, {1: 1}, {0: 1})
-        for i in range(1, s.max_deg + 1):
-            yield _dt(i + 1, {i + 1: 1}, {i: 1})
+    def coeffs(ders: Ders) -> Coeffs:
+        k = _single(ders)
+        return {} if k is None else {_t(k + 1): Fraction(k + 1)}
 
-    return DiffOp("W0", (1,), gen)
+    return DiffOp("W0", 1, 1, coeffs)
 
 
 @_one_per_argument
 def p_plus() -> DiffOp:
-    def gen(s: Support) -> Iterator[DiffTerm]:
-        yield _dt(Fraction(1, 2), {1: 2}, {0: 1})  # k = 0 needs d_0
-        for k in range(1, s.max_deg + 1):
-            for i in range(0, k // 2 + 1):
-                j = k - i
-                c = Fraction((i + 1) * (j + 1), 2) * (1 if i == j else 2)
-                mono = {i + 1: 2} if i == j else {i + 1: 1, j + 1: 1}
-                yield _dt(c, mono, {k: 1})
+    def coeffs(ders: Ders) -> Coeffs:
+        k = _single(ders)
+        if k is None:
+            return {}
+        return {
+            _t(i + 1, k - i + 1): Fraction((i + 1) * (k - i + 1), 2 if 2 * i == k else 1)
+            for i in range(k // 2 + 1)
+        }
 
-    return DiffOp("P+", (2,), gen)
+    return DiffOp("P+", 1, 2, coeffs)
 
 
 @_one_per_argument
 def p_minus() -> DiffOp:
-    def gen(s: Support) -> Iterator[DiffTerm]:
-        yield _dt(1, {2: 1}, {0: 2})  # i = j = 0
-        for j in range(1, s.max_deg + 1):
-            yield _dt(j + 2, {j + 2: 1}, {0: 1, j: 1})  # i = 0 or j = 0, combined
-        for i in range(1, s.max_deg + 1):
-            for j in range(i, s.max_deg + 1 - i):
-                c = Fraction(i + j + 2, 2) * (1 if i == j else 2)
-                yield _dt(c, {i + j + 2: 1}, {i: 2} if i == j else {i: 1, j: 1})
+    def coeffs(ders: Ders) -> Coeffs:
+        if len(ders) == 1 and ders[0][1] == 2:
+            i = ders[0][0]
+            return {_t(2 * i + 2): Fraction(i + 1)}
+        if len(ders) == 2 and ders[0][1] == ders[1][1] == 1:
+            s = ders[0][0] + ders[1][0] + 2
+            return {_t(s): Fraction(s)}
+        return {}
 
-    return DiffOp("P-", (2,), gen)
+    return DiffOp("P-", 2, 1, coeffs)
 
 
 @_one_per_argument
 def w1() -> DiffOp:
     pp, pm = p_plus(), p_minus()
 
-    def gen(s: Support) -> Iterator[DiffTerm]:
-        yield from pp.gen(s)
-        yield from pm.gen(s)
+    def coeffs(ders: Ders) -> Coeffs:
+        return _added(pp.coeffs(ders), pm.coeffs(ders))
 
-    return DiffOp("W1", (2,), gen)
+    return DiffOp("W1", 2, 2, coeffs)
 
 
 @_one_per_argument
@@ -338,54 +310,52 @@ def virasoro_l(i: int) -> DiffOp:
     if i < -1:
         raise ValueError("virasoro_l requires i >= -1")
 
-    def gen(s: Support) -> Iterator[DiffTerm]:
-        yield _dt(-1, {}, {i + 2: 1})
-        for j in range(0, s.max_deg + 1):
-            tgt = i + j + 1
-            if tgt < 0:
-                continue
-            yield _dt(j + 1, {j + 1: 1}, {tgt: 1})
-        for k in range(0, i + 1):
-            l = i - k
-            if k > l:
-                break
-            if k == l:
-                yield _dt(1, {}, {k: 2})
-            else:
-                yield _dt(2, {}, {k: 1, l: 1})
+    def coeffs(ders: Ders) -> Coeffs:
+        k = _single(ders)
+        if k is not None:
+            out = {MONO_ONE: Fraction(-1)} if k == i + 2 else {}
+            if k >= i + 1:
+                out[_t(k - i)] = Fraction(k - i)
+            return out
+        if sum(e for _, e in ders) == 2 and sum(j * e for j, e in ders) == i:
+            return {MONO_ONE: Fraction(len(ders))}  # d_k d_l twice for k != l
+        return {}
 
-    return DiffOp(f"L{i}", (-(i + 2), -i), gen)
+    return DiffOp(f"L{i}", 2 if i >= 0 else 1, 1, coeffs)
 
 
 @_one_per_argument
 def constraint_c() -> DiffOp:
-    def gen(s: Support) -> Iterator[DiffTerm]:
-        yield _dt(-1, {}, {0: 1})
-        yield _dt(1, {}, {})
+    def coeffs(ders: Ders) -> Coeffs:
+        if not ders:
+            return {MONO_ONE: Fraction(1)}
+        return {MONO_ONE: Fraction(-1)} if ders == ((0, 1),) else {}
 
-    return DiffOp("C", (0,), gen)
+    return DiffOp("C", 1, 1, coeffs)
 
 
 def scaled(op: DiffOp, c) -> DiffOp:
     c = Fraction(c)
 
-    def gen(s: Support) -> Iterator[DiffTerm]:
-        for t in op.gen(s):
-            yield DiffTerm(t.coeff * c, t.mono, t.ders)
+    def coeffs(ders: Ders) -> Coeffs:
+        return _added({m: v * c for m, v in op.coeffs(ders).items()})
 
-    return DiffOp(f"{c}*{op.name}", op.shifts, gen)
+    return DiffOp(f"{c}*{op.name}", op.order, op.den * c.denominator, coeffs)
 
 
-def from_terms(name: str, terms: List[DiffTerm], shifts: Tuple[int, ...] | None = None) -> DiffOp:
+def from_terms(name: str, terms: List[DiffTerm]) -> DiffOp:
     """Operator with an explicit finite term list (used for matrix blocks)."""
-    terms = tuple(terms)
-    if shifts is None:
-        shifts = tuple(sorted({t.shift for t in terms})) or (0,)
+    by_ders: Dict[Ders, Coeffs] = {}
+    for t in terms:
+        part = by_ders.setdefault(t.ders, {})
+        part[t.mono] = part.get(t.mono, 0) + t.coeff
+    by_ders = {ders: _added(part) for ders, part in by_ders.items()}
+    order = max((sum(e for _, e in ders) for ders in by_ders), default=0)
 
-    def gen(s: Support) -> Iterator[DiffTerm]:
-        return iter(terms)
+    def coeffs(ders: Ders) -> Coeffs:
+        return by_ders.get(ders, {})
 
-    return DiffOp(name, shifts, gen)
+    return DiffOp(name, order, lcm(*(t.coeff.denominator for t in terms)), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +368,13 @@ def conjugate_shift(op: DiffOp, s) -> DiffOp:
     """Replace every d_0 in ``op`` by (d_0 + s), expanded binomially.
 
     ``s`` is a scalar or a single-term polynomial in marker variables (1 for
-    plain t0 removal, the marker ``t-`` for the genus-refined vacuum).
+    plain t0 removal, the marker ``t-`` for the genus-refined vacuum).  The
+    pattern D of the result collects the terms d_0^k s^k of every pattern
+    D + d_0^k of ``op``:
 
-    The result keeps the generator superset contract only when the d_0
-    powers of ``op``'s terms do not grow with ``Support.max_t0``, which holds
-    for every built-in operator.  Otherwise (d_0 + s)^k turns the extra
-    d_0^k terms of a larger support, which kill every smaller input, into
-    parts with no derivative, and those act on smaller inputs.
+        coeffs'(D) = sum_{k <= order - |D|} C(a_0 + k, k) s^k coeffs(D + d_0^k)
+
+    with a_0 the d_0 power of D, exactly, for every operator.
     """
     if isinstance(s, Poly):
         if len(s.terms) > 1:
@@ -416,25 +386,22 @@ def conjugate_shift(op: DiffOp, s) -> DiffOp:
     if s_mono.degree != 0:
         raise ValueError("conjugation shift must have weighted degree 0")
 
-    def gen(sup: Support) -> Iterator[DiffTerm]:
-        # conjugated d_0-terms can act on inputs with no t0 at all, so the
-        # wrapped generator must see a t0 budget matching the operator.
-        inner = Support(sup.max_deg, max(sup.max_t0, 2))
-        for t in op.gen(inner):
-            a = dict(t.ders).get(0, 0)
-            if a == 0 or s_coeff == 0:
-                yield t
-                continue
-            rest = tuple((i, e) for i, e in t.ders if i != 0)
-            for k in range(a + 1):
-                coeff = t.coeff * comb(a, k) * s_coeff**k
-                mono = t.mono
-                for _ in range(k):
-                    mono = mono.mul(s_mono)
-                ders = rest if k == a else rest + ((0, a - k),)
-                yield DiffTerm(coeff, mono, tuple(sorted(ders)))
+    def coeffs(ders: Ders) -> Coeffs:
+        a0 = ders[0][1] if ders and ders[0][0] == 0 else 0
+        rest = ders[1:] if a0 else ders
+        parts = []
+        s_pow = MONO_ONE
+        for k in range(op.order - sum(e for _, e in ders) + 1):
+            if k and not s_coeff:
+                break
+            part = op.coeffs(((0, a0 + k),) + rest if a0 + k else rest)
+            if part:
+                f = comb(a0 + k, k) * s_coeff**k
+                parts.append({m.mul(s_pow): c * f for m, c in part.items()})
+            s_pow = s_pow.mul(s_mono)
+        return _added(*parts)
 
-    return DiffOp(f"{op.name}'", op.shifts, gen)
+    return DiffOp(f"{op.name}'", op.order, op.den * s_coeff.denominator**op.order, coeffs)
 
 
 def w1_reduced(marker: bool = False) -> DiffOp:
@@ -541,11 +508,6 @@ def commutator_check(
     """
     scale = Fraction(scale)
     basis = basis_monomials(deg_cap, var_cap, t0_cap)
-    # size both tables once for the check: every image of a basis monomial
-    # has degree <= top; a t0 that grows still rebuilds them (see DiffOp.image)
-    top = deg_cap + max(0, *a.shifts, *b.shifts)
-    for op in (a, b):
-        op.term_table(Support(top, t0_cap))
     parts = [(Fraction(1), (a, b)), (Fraction(-1), (b, a))]
     if expect is not None and scale != 0:
         parts.append((-scale, (expect,)))
@@ -555,13 +517,3 @@ def commutator_check(
         if res is not None:
             residuals.append((m, res))
     return residuals
-
-
-def render_terms(op: DiffOp, support: Support) -> str:
-    """Canonical text rendering of the generated terms (docs and tests)."""
-    bits = []
-    for t in sorted(op.terms(support), key=lambda t: (t.ders, t.mono.exps)):
-        d = "".join(f"d{i}^{e}" if e > 1 else f"d{i}" for i, e in t.ders)
-        m = t.mono.as_str()
-        bits.append(f"{t.coeff}*{m}{'*' + d if d else ''}")
-    return " + ".join(bits)

@@ -187,7 +187,7 @@ def assembled_operator(d: int, cap: int) -> ops.DiffOp:
     into connected stable pieces, with normal-ordered products and 1/k!.
     """
     if d == 0:
-        return ops.from_terms("K_0", [ops.DiffTerm(Fraction(1), Monomial({}), ())], (0,))
+        return ops.from_terms("K_0", [ops.DiffTerm(Fraction(1), Monomial({}), ())])
 
     connected_layer: Dict[int, List[ops.DiffTerm]] = {}
     for di in range(1, d + 1):
@@ -219,25 +219,16 @@ def assembled_operator(d: int, cap: int) -> ops.DiffOp:
             )
         add_terms(prod, Fraction(1, factorial(len(combo))))
     terms = [ops.DiffTerm(c, m, dd) for (m, dd), c in total.items() if c]
-    return ops.from_terms(f"K_{d}", terms, (2 * d,))
+    return ops.from_terms(f"K_{d}", terms)
 
 
 def cutjoin_matrix_check(d_max: int, cap: int, deg_cap: int = 4, t0_cap: int = 4) -> List[str]:
     """Residuals of d K_d = (W1 K_{d-1}) on basis monomials (expected none)."""
     w1 = ops.w1()
     k = [assembled_operator(d, cap) for d in range(d_max + 1)]
-    degs = {d: min(deg_cap, cap - 2 * d) for d in range(1, d_max + 1)}
-    # size each table once, for the largest support the check meets: K_d
-    # and K_{d-1} act on the basis monomials of degree <= degs[d], W1 on
-    # their images under K_{d-1}
-    top: Dict[ops.DiffOp, int] = {}
-    for d, deg in degs.items():
-        for op, op_deg in ((k[d], deg), (k[d - 1], deg), (w1, deg + max(k[d - 1].shifts))):
-            top[op] = max(top.get(op, op_deg), op_deg)
-    for op, deg in top.items():
-        op.term_table(ops.Support(deg, t0_cap))
     findings = []
-    for d, deg in degs.items():
+    for d in range(1, d_max + 1):
+        deg = min(deg_cap, cap - 2 * d)
         parts = [(Fraction(d), (k[d],)), (Fraction(-1), (w1, k[d - 1]))]
         for m in ops.basis_monomials(deg, deg_cap, t0_cap):
             diff = ops.composition_residual(m, parts)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm, prod
 from typing import Dict, List, Tuple
 
 from . import operators as ops
@@ -190,25 +190,6 @@ def integral_points_series(d_max: int, with_marker: bool = False) -> QSeries:
             total = total + biv.layer(n - m, m)
         layers[(0, n)] = total
     return QSeries(layers, marker=with_marker)
-
-
-def z_one(d_max: int) -> List[Poly]:
-    """Layers of the one-negative-boundary series Z^1, t0 represented explicitly.
-
-    Layer 0 is the initial datum t0; layer d >= 1 is the t-^1 slice of the
-    marker-refined partition function (those layers are t0-free).
-    """
-    z = partition_function(d_max, with_marker=True)
-    out = [Poly.var(0)]
-    for d in range(1, d_max + 1):
-        out.append(z.layer(d).marker_slice(MARKER_NEG, 1))
-    return out
-
-
-def reconstruct_full(z: QSeries, t0_cap: int, d: int, m: int = 0) -> Poly:
-    """Layer d of the full Z (with t0 restored), t0-exponent capped."""
-    expt0 = Poly({Monomial({0: a}): Fraction(1, factorial(a)) for a in range(t0_cap + 1)})
-    return z.layer(d, m) * expt0
 
 
 def virasoro_residuals(

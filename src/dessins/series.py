@@ -95,20 +95,11 @@ class Monomial:
     def __setattr__(self, *a):
         raise AttributeError("Monomial is immutable")
 
-    @property
-    def n_parts(self) -> int:
-        """Number of parts of the underlying partition (t0 excluded)."""
-        return sum(e for k, e in self.exps if isinstance(k, int) and k >= 1)
-
     def exp(self, key: Key) -> int:
         for k, e in self.exps:
             if k == key:
                 return e
         return 0
-
-    @property
-    def t0_exp(self) -> int:
-        return self.exp(0)
 
     def partition(self) -> Tuple[int, ...]:
         """The partition (sorted parts, with multiplicity) of the t-variables i >= 1."""
@@ -216,28 +207,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def max_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
-
-    @property
-    def max_t0(self) -> int:
-        return max((m.t0_exp for m in self.terms), default=0)
-
     def constant_term(self) -> Fraction:
         return self.coeff(MONO_ONE)
 
     def homogeneous_part(self, d: int) -> "Poly":
         return Poly({m: c for m, c in self.terms.items() if m.degree == d})
-
-    def marker_slice(self, name: str, power: int) -> "Poly":
-        """Coefficient of marker^power, as a polynomial without that marker."""
-        out: Dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            if m.exp(name) == power:
-                rest = {k: e for k, e in m.exps if k != name}
-                out[Monomial(rest)] = c
-        return Poly(out)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":

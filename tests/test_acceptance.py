@@ -157,7 +157,7 @@ def test_criterion_05_virasoro_vanishing():
         {Monomial({0: a}): Fraction(1, factorial(a)) for a in range(t0_cap + 1)}
     )
     img = ops.apply(ops.constraint_c(), expt0)
-    assert all(m.t0_exp >= t0_cap for m in img.terms)
+    assert all(m.exp(0) >= t0_cap for m in img.terms)
     _report(5, "conjugated L_i annihilate Z for i = -1..6, d <= 4; C by construction", t0)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dessins import cli
+from dessins import cli, maps
 from dessins import partition as pt
 
 
@@ -94,15 +94,32 @@ def test_tr_json_deterministic_and_exact():
     assert all(p["at"] in (1, -1) for p in payload["poles"] for p in [p] for p in p["factors"])
 
 
-def test_json_independent_of_threads(tmp_path):
-    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    code, _ = run_cli("--threads", "1", "export", "--what", "kernel", "--g", "0",
-                      "--nplus", "2", "--nminus", "1", "--cap", "5", "--out", str(f1))
-    assert code == 0
-    code, _ = run_cli("--threads", "2", "export", "--what", "kernel", "--g", "0",
-                      "--nplus", "2", "--nminus", "1", "--cap", "5", "--out", str(f2))
-    assert code == 0
-    assert f1.read_bytes() == f2.read_bytes()
+def test_json_independent_of_threads(tmp_path, monkeypatch):
+    # the oracle suite at --s-max 6 scans 12-dart tables, which open the
+    # fork pool at two workers; each run starts from empty tables
+    import multiprocessing
+
+    contexts = []
+    get_context = multiprocessing.get_context
+
+    def counting(method=None):
+        contexts.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", counting)
+    outs = {}
+    try:
+        for threads in ("1", "2"):
+            maps._dessin_table.cache_clear()
+            outs[threads] = tmp_path / f"t{threads}.json"
+            code, text = run_cli("--threads", threads, "verify", "--suites", "oracle",
+                                 "--s-max", "6", "--out", str(outs[threads]))
+            assert code == 0 and text == "PASS oracle\n"
+            assert bool(contexts) == (threads == "2")
+    finally:
+        maps.configure_threads(1)
+        maps._dessin_table.cache_clear()
+    assert outs["1"].read_bytes() == outs["2"].read_bytes() == b'{\n  "oracle": []\n}\n'
 
 
 def test_export_maps_dump(tmp_path):

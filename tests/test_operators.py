@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dessins import operators as ops
 from dessins import opmatrix
+from dessins import partition as pt
 from dessins.series import MARKER_NEG, Monomial, Poly, parse_poly
 
 
@@ -58,8 +59,7 @@ def test_conjugation_matches_printed_reduced_operator():
         got = ops.apply(W1P, p)
         manual = ops.apply(ops.w1(), p)
         lin = Poly.zero()
-        deg = p.max_degree
-        for i in range(1, deg + 1):
+        for i in range(1, mono.degree + 1):
             lin = lin + ops.apply(
                 ops.from_terms("lin", [ops.DiffTerm(Fraction(i + 2), Monomial({i + 2: 1}), ((i, 1),))]),
                 p,
@@ -69,15 +69,14 @@ def test_conjugation_matches_printed_reduced_operator():
 
 
 def test_l0_contains_d0_squared():
-    terms = list(ops.virasoro_l(0).terms(ops.Support(2, 2)))
-    assert any(t.ders == ((0, 2),) and t.coeff == 1 for t in terms)
+    assert ops.virasoro_l(0).coeffs(((0, 2),)) == {Monomial({}): 1}
 
 
 def test_string_equation_operator_form():
     lm1 = ops.virasoro_l(-1)
-    terms = list(lm1.terms(ops.Support(3, 1)))
-    assert any(t.ders == ((1, 1),) and t.coeff == -1 and not t.mono.exps for t in terms)
-    assert any(t.ders == ((0, 1),) and t.mono == Monomial({1: 1}) for t in terms)
+    assert lm1.coeffs(((1, 1),)) == {Monomial({}): -1, Monomial({2: 1}): 2}
+    assert lm1.coeffs(((0, 1),)) == {Monomial({1: 1}): 1}
+    assert lm1.order == 1 and not lm1.coeffs(((0, 1), (1, 1)))
 
 
 def test_witt_bracket_window():
@@ -117,7 +116,7 @@ def _exp_t0(k, sign=1):
 
 
 def _t0_free_slice(p):
-    return Poly({m: c for m, c in p.terms.items() if m.t0_exp == 0})
+    return Poly({m: c for m, c in p.terms.items() if m.exp(0) == 0})
 
 
 def test_conjugation_is_composition_homomorphism():
@@ -134,17 +133,30 @@ def test_conjugation_is_composition_homomorphism():
         assert _t0_free_slice(sandwiched) == rhs
 
 
+def test_conjugation_is_exact_for_a_cubic_d0_term():
+    # (d_0 + s)^3 has parts with every power of d_0 below three, and each
+    # acts on inputs with fewer than three t0: the t0-free slice of the
+    # exp(-+ s t0) sandwich of the unconjugated operator
+    op = ops.from_terms("D", [
+        ops.DiffTerm(Fraction(1, 3), Monomial({1: 1}), ((0, 3),)),
+        ops.DiffTerm(Fraction(-2), Monomial({2: 1}), ((0, 1), (1, 1))),
+    ])
+    for s in (1, -1):
+        conj = ops.conjugate_shift(op, s)
+        assert conj.order == 3 and conj.den == 3
+        for m in ops.basis_monomials(4, 4):
+            p = Poly.term(m, 1)
+            sandwiched = _exp_t0(8, -s) * ops.apply(op, _exp_t0(8, s) * p)
+            assert _t0_free_slice(sandwiched) == ops.apply(conj, p)
+    assert ops.apply(ops.conjugate_shift(op, 1), Poly.one()) == P(({1: 1}, Fraction(1, 3)))
+
+
 def test_homogeneity_of_application():
     # W1' maps the degree-w component into degree w+2 exactly
     p = P(({1: 2}, 1), ({3: 1, 1: 1}, 2))
     img = ops.apply(W1P, p)
     degs = {m.degree for m in img.terms}
     assert degs <= {4, 6}
-
-
-def test_operator_text_rendering():
-    text = ops.render_terms(ops.conjugate_shift(ops.w0(), 1), ops.Support(1, 0))
-    assert text == "1*t1 + 1*t1*d0 + 2*t2*d1"
 
 
 def test_globally_flipped_sign_convention_breaks_the_bracket():
@@ -181,18 +193,14 @@ def _reference_commutator_check(a, b, expect, scale, deg_cap, var_cap, t0_cap=2)
 
 
 def _growing_den_op():
-    """An operator whose table ``den`` grows with the support (1/(i+1) on
-    d_i, 1/2^k on d_0^k) and whose t0 d_1 term raises t0, so its table is
-    rebuilt with a new ``den`` in the middle of a check."""
-
-    def gen(s):
-        yield ops.DiffTerm(Fraction(1), Monomial({0: 1}), ((1, 1),))
-        for i in range(1, s.max_deg + 1):
-            yield ops.DiffTerm(Fraction(1, i + 1), Monomial({i + 1: 1}), ((i, 1),))
-        for k in range(1, s.max_t0 + 1):
-            yield ops.DiffTerm(Fraction(1, 2**k), Monomial({1: 1}), ((0, k),))
-
-    return ops.DiffOp("G", (-1, 1), gen)
+    """An operator whose denominators grow with the derivative (1/(i+1) on
+    d_i, 1/2^k on d_0^k) and whose t0 d_1 term raises t0, so the other
+    operator of a check meets a higher t0 than the basis has."""
+    return ops.from_terms("G", [
+        ops.DiffTerm(Fraction(1), Monomial({0: 1}), ((1, 1),)),
+        *(ops.DiffTerm(Fraction(1, i + 1), Monomial({i + 1: 1}), ((i, 1),)) for i in range(1, 13)),
+        *(ops.DiffTerm(Fraction(1, 2**k), Monomial({1: 1}), ((0, k),)) for k in range(1, 7)),
+    ])
 
 
 L = ops.virasoro_l
@@ -227,10 +235,10 @@ def _as_text(residuals):
 
 
 def _cold(args):
-    """The operators of ``args`` wrapped around the same generators in new
-    ``DiffOp`` objects, which start with no table and no images."""
-    return tuple(ops.DiffOp(a.name, a.shifts, a.gen) if isinstance(a, ops.DiffOp) else a
-                 for a in args)
+    """The operators of ``args`` copied into new ``DiffOp`` objects around
+    the same coefficient functions, which start with no groups and no
+    images."""
+    return tuple(dataclasses.replace(a) if isinstance(a, ops.DiffOp) else a for a in args)
 
 
 @pytest.mark.parametrize("name", [*WRONG_BRACKETS, *PASSING_BRACKETS])
@@ -242,7 +250,7 @@ def test_commutator_check_matches_five_apply_reference(name, monkeypatch):
     def no_apply(*args, **kwargs):
         raise AssertionError("commutator_check called apply")
 
-    # cold operators, so their tables and images start empty inside the check
+    # cold operators, so their groups and images start empty inside the check
     monkeypatch.setattr(ops, "apply", no_apply)
     got = ops.commutator_check(*_cold(make()), 6, 6)
     assert got == want
@@ -276,8 +284,7 @@ def test_second_check_on_warm_operators_adds_no_images():
 
 
 def test_small_then_large_deg_cap_on_one_operator():
-    # images memoized by a small check, with a small table and den, are
-    # reused by a larger one that rebuilds the table with a larger den
+    # images and groups memoized by a small check are reused by a larger one
     g, h = _growing_den_op(), _growing_den_op()
     args = (ops.w1(), Fraction(1, 3))
     for deg_cap, t0_cap in ((3, 1), (6, 3)):
@@ -288,11 +295,12 @@ def test_small_then_large_deg_cap_on_one_operator():
 
 
 def test_commutator_check_on_operators_with_warm_tables():
-    # tables already built for a small support grow again inside the check:
-    # b raises t0, so a meets a larger t0 and a larger den in the middle
+    # groups already built by a small input are joined by new ones inside
+    # the check: b raises t0, so a meets a higher t0 in the middle
     a, b = _growing_den_op(), _growing_den_op()
     for op in (a, b):
         ops.apply(op, P(({1: 1}, 1)))
+    assert a._groups and b._groups
     args = (ops.w1(), 1, 5, 5, 3)
     want = _reference_commutator_check(_growing_den_op(), _growing_den_op(), *args)
     assert want and ops.commutator_check(a, b, *args) == want
@@ -307,7 +315,7 @@ def test_negative_basis_caps_raise(caps):
 
 
 # ---------------------------------------------------------------------------
-# the grouped term table against the naive term-by-monomial loop
+# the memoized pattern groups against the naive term-by-monomial loop
 # ---------------------------------------------------------------------------
 
 OPERATORS = {
@@ -325,22 +333,26 @@ OPERATORS = {
 
 
 def _reference_apply(op, p):
-    """Every term of ``op.terms(support)`` against every monomial of ``p``."""
+    """Every term of every derivative pattern up to the degree and t0 power
+    of ``p`` against every monomial of ``p``."""
+    deg = max((m.degree for m in p.terms), default=0)
+    t0 = max((m.exp(0) for m in p.terms), default=0)
     out = {}
-    for term in op.terms(ops.Support(p.max_degree, p.max_t0)):
-        for m, c in p.terms.items():
-            exps = dict(m.exps)
-            fc = 1
-            for i, e in term.ders:
-                have = exps.get(i, 0)
-                if have < e:
-                    break
-                for k in range(e):
-                    fc *= have - k
-                exps[i] = have - e
-            else:
-                nm = Monomial(exps).mul(term.mono)
-                out[nm] = out.get(nm, Fraction(0)) + c * fc * term.coeff
+    for pattern in ops.basis_monomials(deg, deg, t0):
+        for mono, coeff in op.coeffs(pattern.exps).items():
+            for m, c in p.terms.items():
+                exps = dict(m.exps)
+                fc = 1
+                for i, e in pattern.exps:
+                    have = exps.get(i, 0)
+                    if have < e:
+                        break
+                    for k in range(e):
+                        fc *= have - k
+                    exps[i] = have - e
+                else:
+                    nm = Monomial(exps).mul(mono)
+                    out[nm] = out.get(nm, Fraction(0)) + c * fc * coeff
     return Poly(out)
 
 
@@ -351,8 +363,8 @@ _polys = st.builds(
     parse_poly,
     st.lists(st.tuples(_monomials, st.fractions(max_denominator=4).filter(bool)), max_size=5),
 )
-# one instance per operator, shared by all examples, so the table meets
-# supports in arbitrary order
+# one instance per operator, shared by all examples, so its groups are
+# built by inputs in arbitrary order
 _SHARED = {}
 
 
@@ -365,7 +377,7 @@ def test_apply_matches_reference_loop(name, p):
 
 
 def _fresh(name):
-    # a copy starts without a table, also for the cached assembled operator
+    # a copy starts without groups, also for the cached assembled operator
     return dataclasses.replace(OPERATORS[name]())
 
 
@@ -382,38 +394,63 @@ def test_table_reuse_across_supports(name):
 
 
 def test_term_table_leaves_equality_and_hash_alone():
-    gen = ops.w0().gen
-    a, b = ops.DiffOp("W0", (1,), gen), ops.DiffOp("W0", (1,), gen)
+    # an operator's memoized pattern groups and monomial images change
+    # neither its equality, its hash nor its repr
+    w0 = ops.w0()
+    a, b = ops.DiffOp("W0", 1, 1, w0.coeffs), ops.DiffOp("W0", 1, 1, w0.coeffs)
     before = hash(a)
     ops.apply(a, P(({1: 2}, 1)))
+    assert a._groups and not b._groups
     assert not ops.commutator_check(a, a, None, 0, 3, 3) and a._images and not b._images
     assert a == b and hash(a) == before == hash(b) and repr(a) == "DiffOp(W0)"
 
 
 # ---------------------------------------------------------------------------
-# the generator contract that lets one table serve every smaller support
+# the contract of the coefficient functions, and each group built once
 # ---------------------------------------------------------------------------
 
-SUPPORTS = [ops.Support(d, t0) for d in range(9) for t0 in range(3)]
-
-
-def _kills(ders, m):
-    return any(m.exp(i) < e for i, e in ders)
+PATTERNS = list(ops.basis_monomials(8, 8, 3))
 
 
 @pytest.mark.parametrize("name", OPERATORS)
-def test_generator_terms_grow_only_by_terms_that_vanish(name):
-    op = OPERATORS[name]()
-    terms = {s: Counter(op.terms(s)) for s in SUPPORTS}
-    for s in SUPPORTS:
-        basis = list(ops.basis_monomials(s.max_deg, s.max_deg, s.max_t0))
-        vanishing = {}
-        for big in SUPPORTS:
-            if big.max_deg < s.max_deg or big.max_t0 < s.max_t0:
-                continue
-            extra = terms[big] - terms[s]
-            assert not terms[s] - terms[big], (s, big)
-            for t in extra:
-                if t.ders not in vanishing:
-                    vanishing[t.ders] = all(_kills(t.ders, m) for m in basis)
-                assert vanishing[t.ders], (s, big, t)
+def test_coefficients_vanish_above_order_and_clear_den(name):
+    op = _fresh(name)
+    for pattern in PATTERNS:
+        ders = pattern.exps
+        got = op.coeffs(ders)
+        if sum(e for _, e in ders) > op.order:
+            assert not got, ders
+        assert all((c * op.den).denominator == 1 for c in got.values()), ders
+
+
+def test_coefficient_off_den_raises():
+    bad = ops.DiffOp("B", 1, 2, lambda ders: {Monomial({1: 1}): Fraction(1, 3)})
+    with pytest.raises(ValueError, match="not a multiple of 1/2"):
+        ops.apply(bad, P(({1: 1}, 1)))
+
+
+def _counting_copy(op, calls):
+    """A cold copy of ``op`` whose coefficient function counts its calls
+    per (operator name, pattern)."""
+
+    def coeffs(ders):
+        calls[op.name, ders] += 1
+        return op.coeffs(ders)
+
+    return dataclasses.replace(op, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("flow, names", [
+    (lambda: pt.partition_function(6, True), {"W1'"}),
+    (lambda: pt.partition_function_bivalent(3, 3), {"W0'", "W1'"}),
+], ids=["Z to d=6 with marker", "bivalent Z to (3,3)"])
+def test_cold_flow_evaluates_each_group_once(flow, names, monkeypatch):
+    # every layer of a flow has a higher degree than the last; its operator
+    # still evaluates each pattern's coefficient once over the whole flow
+    calls = Counter()
+    for make in ("w0_reduced", "w1_reduced"):
+        made = getattr(ops, make)
+        monkeypatch.setattr(ops, make, lambda marker, made=made: _counting_copy(made(marker), calls))
+    flow()
+    assert {name for name, _ in calls} == names
+    assert len(calls) > 10 and set(calls.values()) == {1}

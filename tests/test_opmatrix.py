@@ -84,23 +84,28 @@ def test_cutjoin_matrix_check_matches_apply_reference(wrong_d, monkeypatch):
     assert om.cutjoin_matrix_check(3, 8) == want
 
 
+def _counting_copy(op, calls):
+    """A cold copy of ``op`` whose coefficient function counts its calls
+    per (operator name, pattern)."""
+
+    def coeffs(ders):
+        calls[op.name, ders] += 1
+        return op.coeffs(ders)
+
+    return dataclasses.replace(op, coeffs=coeffs)
+
+
 def test_cutjoin_matrix_check_builds_each_table_once(monkeypatch):
-    # cold copies of W1 and of every K_d, so each table is built inside the
-    # check, once, for the largest support it meets
-    assembled, w1 = om.assembled_operator, ops.w1()
+    # cold copies of W1 and of every K_d, so each pattern group is built
+    # inside the check, once, however many basis monomials meet it
+    calls = Counter()
+    assembled, w1 = om.assembled_operator, _counting_copy(ops.w1(), calls)
     monkeypatch.setattr(om, "assembled_operator",
-                        lambda d, cap: dataclasses.replace(assembled(d, cap)))
-    monkeypatch.setattr(ops, "w1", lambda: dataclasses.replace(w1))
-    built = Counter()
-    build = ops._TermTable.build
-
-    def counting(op, support):
-        built[op.name] += 1
-        return build(op, support)
-
-    monkeypatch.setattr(ops._TermTable, "build", counting)
+                        lambda d, cap: _counting_copy(assembled(d, cap), calls))
+    monkeypatch.setattr(ops, "w1", lambda: w1)
     assert om.cutjoin_matrix_check(2, 8) == []
-    assert built == {"K_0": 1, "K_1": 1, "K_2": 1, "W1": 1}
+    assert {name for name, _ in calls} == {"K_0", "K_1", "K_2", "W1"}
+    assert set(calls.values()) == {1}
 
 
 def test_vacuum_consistency():
@@ -109,22 +114,22 @@ def test_vacuum_consistency():
 
 def test_conjugated_tables_are_built_once_over_two_calls(monkeypatch):
     # conjugate_shift returns one operator per argument value, so the second
-    # call of each check finds the conjugated tables built; L_7' and the
+    # call of each check finds the conjugated groups built; L_7' and the
     # cap-6 K_d' are used by no other test, so the first call builds them
     built = Counter()
-    build = ops._TermTable.build
+    group = ops.DiffOp._group
 
-    def counting(op, support):
-        built[op] += 1
-        return build(op, support)
+    def counting(op, ders):
+        built[op, ders] += 1
+        return group(op, ders)
 
-    monkeypatch.setattr(ops._TermTable, "build", counting)
+    monkeypatch.setattr(ops.DiffOp, "_group", counting)
     z = pt.partition_function(3)
     for _ in range(2):
         pt.virasoro_residuals(z, i_max=7)
         om.vacuum_consistency_check(2, 6)
-    conjugated = {op.name: n for op, n in built.items() if op.name.endswith("'")}
-    assert conjugated.keys() >= {"L7'", "K_0'", "K_1'", "K_2'"}
+    conjugated = {(op, ders): n for (op, ders), n in built.items() if op.name.endswith("'")}
+    assert {op.name for op, _ in conjugated} >= {"L7'", "K_0'", "K_1'", "K_2'"}
     assert set(conjugated.values()) == {1}
 
 

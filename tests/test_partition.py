@@ -157,23 +157,6 @@ def test_integral_points_series_layer1():
     assert ip.layer(1) == P(({1: 1}, 1), ({2: 1}, 1), ({1: 2}, Fraction(1, 2)))
 
 
-def test_z_one_initial_condition_and_flow():
-    zs = pt.z_one(3)
-    assert zs[0] == Poly.var(0)
-    assert zs[1] == P(({1: 2}, Fraction(1, 2)))
-    w1 = ops.w1()
-    for d in range(3):
-        assert zs[d + 1].scale(d + 1) == ops.apply(w1, zs[d])
-
-
-def test_reconstruct_full_t0_cap():
-    z = pt.partition_function(1)
-    full = pt.reconstruct_full(z, 2, 1)
-    assert full.coeff(Monomial({2: 1})) == 1
-    assert full.coeff(Monomial({2: 1, 0: 2})) == Fraction(1, 2)
-    assert full.coeff(Monomial({2: 1, 0: 3})) == 0
-
-
 def test_marker_layers_resolve_negative_boundaries():
     z = pt.partition_function(2, with_marker=True)
     layer2 = z.layer(2)

@@ -33,7 +33,6 @@ polys = st.lists(st.tuples(monomials, coeffs), max_size=5).map(lambda ps: parse_
 def test_monomial_degree_and_parts():
     m = Monomial({1: 2, 3: 1, "t-": 2})
     assert m.degree == 5
-    assert m.n_parts == 3
     assert m.partition() == (1, 1, 3)
     assert Monomial({0: 4}).degree == 0
 
