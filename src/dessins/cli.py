@@ -232,19 +232,17 @@ def _suite_virasoro(args) -> List[str]:
 
 
 def _suite_cutjoin(args) -> List[str]:
-    return opmatrix.cutjoin_matrix_check(3, 8)
+    return opmatrix.cutjoin_matrix_check(4, 10)
 
 
 def _suite_opmatrix(args) -> List[str]:
-    return opmatrix.vacuum_consistency_check(3, 8)
+    return opmatrix.vacuum_consistency_check(4, 10)
 
 
 def _suite_adjoint(args) -> List[str]:
-    out = opmatrix.adjoint_check(0, 2, 1, 6)
-    out.extend(opmatrix.adjoint_check(0, 2, 2, 6))
-    out.extend(opmatrix.adjoint_check(0, 3, 2, 10))
-    out.extend(opmatrix.adjoint_check(1, 2, 1, 10))
-    return out
+    blocks = [(0, 2, 1, 6), (0, 2, 2, 6), (0, 3, 2, 10), (1, 2, 1, 10),
+              (0, 4, 2, 10), (2, 1, 1, 10)]
+    return [f for block in blocks for f in opmatrix.adjoint_check(*block)]
 
 
 TUTTE_CONNECTED_SUM_MAX = 14

@@ -173,9 +173,9 @@ def test_criterion_06_commuting_flows():
 
 def test_criterion_07_matrix_cut_and_join():
     t0 = time.time()
-    assert opmatrix.cutjoin_matrix_check(3, 8) == []
-    assert opmatrix.vacuum_consistency_check(3, 8) == []
-    _report(7, "d K_d = (W1 K)_d entrywise for d <= 3 from enumeration data", t0)
+    assert opmatrix.cutjoin_matrix_check(4, 10) == []
+    assert opmatrix.vacuum_consistency_check(4, 10) == []
+    _report(7, "d K_d = (W1 K)_d entrywise for d <= 4 (genus 2), cap 10, from enumeration data", t0)
 
 
 def test_criterion_08_loop_equation():
@@ -208,9 +208,12 @@ def test_criterion_11_adjointness():
     assert opmatrix.adjoint_check(0, 2, 2, 6) == []
     assert opmatrix.adjoint_check(0, 3, 2, 10) == []
     assert opmatrix.adjoint_check(1, 2, 1, 10) == []
+    assert opmatrix.adjoint_check(0, 4, 2, 10) == []
+    assert opmatrix.adjoint_check(2, 1, 1, 10) == []
     _report(
         11,
-        "Gram adjointness for (0,2,1)/(0,1,2), self-adjoint (0,2,2), and (0,3,2), (1,2,1) to cap 10",
+        "Gram adjointness for (0,2,1)/(0,1,2), self-adjoint (0,2,2), and "
+        "(0,3,2), (1,2,1), (0,4,2), (2,1,1) to cap 10",
         t0,
     )
 

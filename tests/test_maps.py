@@ -133,10 +133,14 @@ def test_orbit_stabilizer_consistency_small():
 def test_lattice_points_examples():
     # the (0,1,2) structure: one + face of perimeter 2, two - faces, and
     # each edge joins the + face to one - face
-    structures = list(opmatrix._structures(1, 1, 2))
+    structures = [
+        (edges, perims)
+        for (n_plus, n_minus, edges, perims), _ in opmatrix._structures(1)
+        if (n_plus, n_minus) == (1, 2)
+    ]
     assert structures
     edges, perims = structures[0]
-    assert perims == [2]
+    assert perims == (2,)
     table = maps.lattice_series(edges, 3, 10)
     assert table[(0, 0, 0)] == 1  # all-zero targets
     assert table[(3, 1, 2)] == 1  # forced labeling

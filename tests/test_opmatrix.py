@@ -12,7 +12,7 @@ from dessins import maps
 from dessins import operators as ops
 from dessins import opmatrix as om
 from dessins import partition as pt
-from dessins.series import Poly, sorted_multi
+from dessins.series import Monomial, Poly, sorted_multi
 from lattice_reference import lattice_points
 
 
@@ -106,6 +106,70 @@ def test_cutjoin_matrix_check_builds_each_table_once(monkeypatch):
     assert om.cutjoin_matrix_check(2, 8) == []
     assert {name for name, _ in calls} == {"K_0", "K_1", "K_2", "W1"}
     assert set(calls.values()) == {1}
+
+
+def _eager_assembled(d, cap):
+    """K_d expanded term by term: for every composition (d_1, ..., d_k) of
+    d, the normal-ordered product of the connected layers of degrees d_i,
+    weighted 1/k!.  Pattern -> coefficient polynomial."""
+    layers = {
+        j: [t for g, n_plus, n_minus in om.stable_types(j)
+            for t in om._block_diffterms(om.kernel_block(g, n_plus, n_minus, cap))]
+        for j in range(1, d + 1)
+    }
+
+    def compositions(tot):
+        if tot == 0:
+            yield ()
+            return
+        for first in range(1, tot + 1):
+            for rest in compositions(tot - first):
+                yield (first,) + rest
+
+    total = {}
+    for combo in compositions(d):
+        prod = {(Monomial({}), ()): Fraction(1)}
+        for j in combo:
+            out = {}
+            for (mono, ders), c in prod.items():
+                for t in layers[j]:
+                    both = Counter(dict(ders)) + Counter(dict(t.ders))
+                    key = (mono.mul(t.mono), tuple(sorted(both.items())))
+                    out[key] = out.get(key, 0) + c * t.coeff
+            prod = out
+        for (mono, ders), c in prod.items():
+            part = total.setdefault(ders, {})
+            part[mono] = part.get(mono, 0) + c / math.factorial(len(combo))
+    return {ders: {m: c for m, c in part.items() if c} for ders, part in total.items()}
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_assembled_operator_matches_eager_expansion(d):
+    want = _eager_assembled(d, 8)
+    got = om.assembled_operator(d, 8)
+    assert got.order == max(sum(e for _, e in ders) for ders in want)
+    for ders, part in want.items():
+        assert got.coeffs(ders) == part, ders
+
+
+def test_kernel_blocks_of_one_degree_share_one_walk(monkeypatch):
+    # 12 darts: one slice per image 1, 3, ..., 11 of dart 0, for all six
+    # stable types of degree 3 together
+    slices = []
+    walk = maps.sign_pattern_maps
+
+    def counting(valences, connected_only, first_image):
+        slices.append(first_image)
+        return walk(valences, connected_only, first_image)
+
+    monkeypatch.setattr(maps, "sign_pattern_maps", counting)
+    om._structures.cache_clear()
+    for g, n_plus, n_minus in om.stable_types(3):
+        assert om.kernel_block.__wrapped__(g, n_plus, n_minus, 8) == om.kernel_block(
+            g, n_plus, n_minus, 8)
+    assert sorted(slices) == [1, 3, 5, 7, 9, 11]
+    om.kernel_block.__wrapped__(0, 3, 2, 9)
+    assert len(slices) == 6
 
 
 def test_vacuum_consistency():
@@ -215,7 +279,11 @@ def test_kernel_block_matches_reference(g, n_plus, n_minus):
 
 def test_edge_series_equals_lattice_points_on_every_structure():
     top = 4
-    structures = list(om._structures(2, 2, 2))
+    structures = [
+        (edges, perims)
+        for (n_plus, n_minus, edges, perims), _ in om._structures(2)
+        if (n_plus, n_minus) == (2, 2)
+    ]
     assert structures
     for edges, _perims in structures:
         table = maps.lattice_series(edges, 4, 2 * top)
@@ -237,6 +305,10 @@ KERNEL_DIGESTS = {
     (1, 1, 1, 8): "53e9ba29131b8d34afcd579b08014a155afcd9970c998fe76f667aeda375e1ff",
     (0, 3, 2, 10): "acda13014454a04d96640d267f7ae5a36c70c4f042ef58d4c03a86ad1ff6c2ba",
     (1, 2, 1, 10): "c4c255aed9c7e4de9e1845c5f48afe15420112ab4cc1c3baf33d8987df92655f",
+    (2, 1, 1, 10): "861df1c636677c4234ab5b83904e253048c357c5fc02ce2b47af3d1e6ad091f8",
+    (1, 1, 3, 10): "855a488e3a941910664af86b846623222b9eafba2a7713b1e4f0d6f7ba8bebac",
+    (0, 4, 2, 10): "4f994d569a9d53b34439f5615d5205a222cd6444a2b8117ce4f6701a71ba5ae1",
+    (0, 2, 4, 10): "47f7dbc875ac9305c3dae4967fb7f3ddc7b8802ae317e5b718fca4ff0c587717",
 }
 
 
