@@ -9,14 +9,7 @@ equation, the Eynard-Orantin topological recursion on x = z + 1/z, and the
 lattice-count substitution identity for Norbury polynomials.
 """
 
-from .series import (
-    LaurentSeries,
-    MARKER_NEG,
-    Monomial,
-    Poly,
-    RationalFn,
-    solve_disc,
-)
+from .series import MARKER_NEG, Monomial, Poly, RationalFn
 from .operators import (
     DiffOp,
     DiffTerm,
@@ -59,6 +52,7 @@ from .spectral import (
     laplace_W,
     loop_check,
     norbury_substitution_check,
+    solve_disc,
     tr_agreement_check,
     tr_omega,
 )

@@ -23,7 +23,6 @@ import itertools
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from typing import List, Sequence
@@ -76,10 +75,6 @@ ORDER_BUDGET = 12
 # about 4 s at cap 20 on a 2-core VM, (0,10) about 7 s at cap 24, and (4,4)
 # about 11 s at cap 30 and more than 20 s at cap 40
 CORRELATOR_CAP_BUDGET = 20
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def _emit(text: str, out_path: str | None):
@@ -175,7 +170,7 @@ def _count_rows(
                 "n_minus": n_minus,
                 "m": m,
                 "alpha": " ".join(str(a) for a in alpha),
-                "count": _frac_str(val),
+                "count": str(val),
             }
         )
     return rows
@@ -416,7 +411,7 @@ def cmd_tr(args) -> int:
     om = spectral.tr_omega(args.g, args.n)
     payload = om.to_json_dict()
     payload["expansion"] = {
-        " ".join(str(x) for x in e): _frac_str(c)
+        " ".join(str(x) for x in e): str(c)
         for e, c in sorted(om.expand_at_infinity(args.order).items())
     }
     _emit(_json_dumps(payload), args.out)

@@ -42,11 +42,10 @@ s = the marker ``t-`` it tracks the number of negative boundary components.
 
 from __future__ import annotations
 
-import inspect
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
+from functools import cache
 from math import comb, lcm, perm
 from typing import Callable, Dict, Iterator, List, Tuple
 
@@ -231,32 +230,12 @@ def _apply_divided(op: DiffOp, p: Poly, div: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _one_per_argument(make: Callable[..., DiffOp]) -> Callable[..., DiffOp]:
-    """One operator per argument value for the life of the process, so its
-    groups and its monomial images are built once and reused by every
-    later caller."""
-    signature = inspect.signature(make)
-    made: Dict[tuple, DiffOp] = {}
-
-    @wraps(make)
-    def get(*args, **kwargs) -> DiffOp:
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        key = tuple(bound.arguments.values())
-        op = made.get(key)
-        if op is None:
-            op = made[key] = make(*args, **kwargs)
-        return op
-
-    return get
-
-
 def _single(ders: Ders) -> int | None:
     """The index k of a first-order pattern d_k, else None."""
     return ders[0][0] if len(ders) == 1 and ders[0][1] == 1 else None
 
 
-@_one_per_argument
+@cache
 def w0() -> DiffOp:
     def coeffs(ders: Ders) -> Coeffs:
         k = _single(ders)
@@ -265,7 +244,7 @@ def w0() -> DiffOp:
     return DiffOp("W0", 1, 1, coeffs)
 
 
-@_one_per_argument
+@cache
 def p_plus() -> DiffOp:
     def coeffs(ders: Ders) -> Coeffs:
         k = _single(ders)
@@ -279,7 +258,7 @@ def p_plus() -> DiffOp:
     return DiffOp("P+", 1, 2, coeffs)
 
 
-@_one_per_argument
+@cache
 def p_minus() -> DiffOp:
     def coeffs(ders: Ders) -> Coeffs:
         if len(ders) == 1 and ders[0][1] == 2:
@@ -293,7 +272,7 @@ def p_minus() -> DiffOp:
     return DiffOp("P-", 2, 1, coeffs)
 
 
-@_one_per_argument
+@cache
 def w1() -> DiffOp:
     pp, pm = p_plus(), p_minus()
 
@@ -303,7 +282,7 @@ def w1() -> DiffOp:
     return DiffOp("W1", 2, 2, coeffs)
 
 
-@_one_per_argument
+@cache
 def virasoro_l(i: int) -> DiffOp:
     """The constraint operator L_i, i >= -1 (sign convention of the loop
     equation section, pinned by the Witt bracket test)."""
@@ -324,7 +303,7 @@ def virasoro_l(i: int) -> DiffOp:
     return DiffOp(f"L{i}", 2 if i >= 0 else 1, 1, coeffs)
 
 
-@_one_per_argument
+@cache
 def constraint_c() -> DiffOp:
     def coeffs(ders: Ders) -> Coeffs:
         if not ders:
@@ -363,7 +342,7 @@ def from_terms(name: str, terms: List[DiffTerm]) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-@_one_per_argument
+@cache
 def conjugate_shift(op: DiffOp, s) -> DiffOp:
     """Replace every d_0 in ``op`` by (d_0 + s), expanded binomially.
 

@@ -192,10 +192,9 @@ def integral_points_series(d_max: int, with_marker: bool = False) -> QSeries:
     return QSeries(layers, marker=with_marker)
 
 
-def virasoro_residuals(
-    z: QSeries, i_max: int = 6, marker_value: Fraction | int = 1
-) -> List[Tuple[int, int, Poly]]:
-    """Apply the conjugated L_i to the q = 1 combination of layers.
+def virasoro_residuals(z: QSeries, i_max: int = 6) -> List[Tuple[int, int, Poly]]:
+    """Apply the conjugated L_i to the q = 1 combination of layers, with the
+    marker t- (if any) set to 1.
 
     Returns (i, degree, residual) triples for every nonzero residual in a
     degree that the mixed-grading bookkeeping guarantees exact: degree w is
@@ -206,7 +205,7 @@ def virasoro_residuals(
     for (_, _), p in z.items():
         q = p
         if z.marker:
-            q = _substitute_marker(p, MARKER_NEG, Fraction(marker_value))
+            q = _substitute_marker(p, MARKER_NEG, Fraction(1))
         total = total + q
     out = []
     for i in range(-1, i_max + 1):

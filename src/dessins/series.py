@@ -1,10 +1,10 @@
-r"""Exact sparse polynomial and Laurent-series arithmetic.
+r"""Exact sparse polynomial and rational-function arithmetic.
 
 All coefficients are ``fractions.Fraction``; there is no floating-point mode
 anywhere in the package.  The product kernels (``Poly.__mul__`` here and
 ``operators.apply``) lift each operand to integer numerators over one common
 denominator, accumulate ``int``s in their inner loops and build one
-``Fraction`` per output monomial; stored values stay ``Fraction``.  Three
+``Fraction`` per output monomial; stored values stay ``Fraction``.  Two
 kinds of values live here:
 
 * ``Monomial`` / ``Poly`` -- exact sparse multivariate polynomials in
@@ -12,12 +12,6 @@ kinds of values live here:
   the bookkeeping variable ``t0`` (weight 0) and named *marker* variables
   such as ``t-`` (weight 0).  Every route computes whole layers, each an
   exact finite polynomial.
-
-* ``LaurentSeries`` -- one-variable series ``sum_m c_m * var^(-m)`` with an
-  explicit exactness window ``[lo, hi]``: the true series has no support
-  below ``lo`` and the stored coefficients are exact for exponents ``<= hi``.
-  Window arithmetic is conservative so that no silently wrong tail
-  coefficient can survive an operation.
 
 * ``RationalFn`` -- dense univariate rational functions over ``Fraction``,
   gcd-normalized, used for the spectral-curve computations.
@@ -333,128 +327,6 @@ def mu_factorial(parts: Iterable[int]) -> int:
 def distinct_permutations(parts: Sequence[int]) -> List[Tuple[int, ...]]:
     """The distinct reorderings of ``parts``, in lexicographic order."""
     return sorted(set(itertools.permutations(parts)))
-
-
-# ---------------------------------------------------------------------------
-# Laurent series in one variable
-# ---------------------------------------------------------------------------
-
-
-class LaurentSeries:
-    """Finite window of an exact Laurent series sum_m c_m * var^(-m).
-
-    ``lo`` is a proven lower bound for the support (no terms with exponent
-    below ``lo``); coefficients are exact for all exponents ``<= hi``.
-    """
-
-    __slots__ = ("var", "coeffs", "lo", "hi")
-
-    def __init__(self, var: str, coeffs: Mapping[int, object], lo: int, hi: int):
-        self.var = var
-        self.coeffs = {m: _fr(c) for m, c in coeffs.items() if c and lo <= m <= hi}
-        self.lo = lo
-        self.hi = hi
-
-    def coeff(self, m: int) -> Fraction:
-        if m > self.hi:
-            raise ValueError(f"coefficient of exponent {m} outside window (hi={self.hi})")
-        return self.coeffs.get(m, Fraction(0))
-
-    @property
-    def order(self) -> int:
-        """Exact order (smallest exponent with nonzero known coefficient)."""
-        if self.coeffs:
-            return min(self.coeffs)
-        return self.hi + 1
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        hi = min(self.hi, other.hi)
-        lo = min(self.lo, other.lo)
-        c = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            s = c.get(m)
-            c[m] = v if s is None else s + v
-        return LaurentSeries(self.var, c, lo, hi)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LaurentSeries":
-        c = _fr(c)
-        return LaurentSeries(self.var, {m: c * v for m, v in self.coeffs.items()}, self.lo, self.hi)
-
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by var^(-k), i.e. add k to every exponent."""
-        return LaurentSeries(
-            self.var, {m + k: v for m, v in self.coeffs.items()}, self.lo + k, self.hi + k
-        )
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        hi = min(self.hi + other.lo, other.hi + self.lo)
-        lo = self.lo + other.lo
-        c: Dict[int, Fraction] = {}
-        for m1, v1 in self.coeffs.items():
-            for m2, v2 in other.coeffs.items():
-                m = m1 + m2
-                if m <= hi:
-                    s = c.get(m)
-                    c[m] = v1 * v2 if s is None else s + v1 * v2
-        return LaurentSeries(self.var, c, lo, hi)
-
-    def pow(self, k: int) -> "LaurentSeries":
-        if k < 0:
-            raise ValueError("negative powers unsupported")
-        if k == 0:
-            return LaurentSeries(self.var, {0: 1}, 0, self.hi - self.lo)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def is_zero_on_window(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        """Exact equality of coefficients on the common window."""
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        hi = min(self.hi, other.hi)
-        for m in set(self.coeffs) | set(other.coeffs):
-            if m <= hi and self.coeffs.get(m, 0) != other.coeffs.get(m, 0):
-                return False
-        return True
-
-    def as_str(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for m in sorted(self.coeffs):
-            c = self.coeffs[m]
-            if m == 0:
-                parts.append(str(c))
-            else:
-                base = f"{self.var}^-{m}" if m > 0 else f"{self.var}^{-m}"
-                parts.append(base if c == 1 else f"{c}*{base}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"LaurentSeries({self.as_str()}; window<=+{self.hi})"
-
-
-def solve_disc(cap: int) -> LaurentSeries:
-    """The unique solution u in x^-1 * Q[[x^-2]] of u^2 - x*u + 1 = 0.
-
-    Computed by the contraction u <- (1 + u^2)/x; the coefficient of
-    x^-(2k+1) is the k-th Catalan number.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    hi = 2 * cap + 1
-    u = LaurentSeries("x", {1: 1}, 1, hi)
-    for _ in range(cap + 1):
-        u2 = LaurentSeries("x", (u * u).coeffs, 2, hi - 1)
-        u = LaurentSeries("x", {1: 1}, 1, hi) + u2.shift(1)
-    return u
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,12 @@ variants of the kernel differ by such a constant).
 
 Every check builds two coefficient tables keyed by exponent vectors and
 compares them with ``_mismatches`` on a window of total order, so findings
-come in sorted exponent order.  Expansions at infinity, and the
-substitution of the tree series into the Norbury counts, go through
-``_add_slot_products``: a product of one-variable series, one per slot,
-expanded on that window.
+come in sorted exponent order.  A one-variable series at infinity has one
+form: a table ``{m: c_m}`` of the exact rational (often integer)
+coefficients of w^-m, m >= 0, exact through one ``hi``.  Such tables multiply with ``_truncated_product``, and
+``_add_slot_products`` expands a product of them, one per slot, on the
+window of total order: the expansions of omega_{g,n} and W_{g,n} at
+infinity, and the substitution of the tree series into the Norbury counts.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from . import tutte
 from .maps import NORBURY_SUPPORTED, norbury_N
-from .series import LaurentSeries, RationalFn, distinct_permutations, solve_disc, sorted_multi
+from .series import RationalFn, distinct_permutations, sorted_multi
 
 # pinned so that the residue recursion reproduces the Laplace coefficients
 KERNEL_SCALE = Fraction(-1, 2)
@@ -124,6 +126,23 @@ def laplace_W(g: int, n: int, cap: int) -> CorrelatorSeries:
 # ---------------------------------------------------------------------------
 # coefficient tables on a window of total order
 # ---------------------------------------------------------------------------
+
+
+def _truncated_product(
+    a: Dict[int, Fraction], b: Dict[int, Fraction], hi: int
+) -> Dict[int, Fraction]:
+    """The product of two series at infinity on the exponents <= hi.
+
+    Neither table may have a negative exponent: then the product is exact
+    through hi whenever both factors are.
+    """
+    out: Dict[int, Fraction] = {}
+    for m1, v1 in a.items():
+        for m2, v2 in b.items():
+            m = m1 + m2
+            if m <= hi:
+                out[m] = out.get(m, 0) + v1 * v2
+    return {m: v for m, v in out.items() if v}
 
 
 def _add_slot_products(
@@ -241,19 +260,17 @@ def loop_check(g: int, n: int, cap: int) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def inv_x_series(var: str, hi: int) -> LaurentSeries:
-    """1/x(z) = sum (-1)^k z^-(2k+1), exact through exponent hi."""
-    return LaurentSeries(var, {2 * k + 1: (-1) ** k for k in range(hi // 2 + 1)}, 1, hi)
+def pullback_series(a: int, hi: int) -> Dict[int, Fraction]:
+    """x(z)^-(a+1) * x'(z) as coefficients of z^-m, m <= hi (the Laplace
+    dictionary).
 
-
-def x_prime_series(var: str, hi: int) -> LaurentSeries:
-    return LaurentSeries(var, {0: 1, 2: -1}, 0, hi)
-
-
-def pullback_series(a: int, var: str, hi: int) -> LaurentSeries:
-    """x(z)^-(a+1) * x'(z) as a series in 1/z (the Laplace dictionary)."""
-    s = inv_x_series(var, hi)
-    return s.pow(a + 1) * x_prime_series(var, hi)
+    x^-(a+1) = z^-(a+1) (1 + z^-2)^-(a+1) has (-1)^k C(a+k, k) at
+    z^-(a+1+2k), and x' = 1 - z^-2 adds (-1)^k C(a+k-1, k-1) for k >= 1.
+    """
+    return {
+        a + 1 + 2 * k: (-1) ** k * (comb(a + k, k) + (comb(a + k - 1, k - 1) if k else 0))
+        for k in range((hi - a + 1) // 2)
+    }
 
 
 def bergman_check(cap: int) -> List[str]:
@@ -655,19 +672,15 @@ class OmegaDifferential:
     def expand_at_infinity(self, hi: int) -> Dict[MultiIndex, Fraction]:
         """Coefficients of prod z_i^-e_i, exact for total order <= hi."""
         out: Dict[MultiIndex, Fraction] = {}
-        one = LaurentSeries("z", {0: 1}, 0, hi)
         for key, c in self.value.items():
-            per_slot: Dict[int, LaurentSeries] = {}
+            per_slot: Dict[int, Dict[int, Fraction]] = {}
             for (slot, eps), power in key:
                 # 1/(z - eps)^power = sum_m binom(m-1, power-1) eps^(m-power) z^-m
-                ser = LaurentSeries(
-                    "z",
-                    {m: comb(m - 1, power - 1) * eps ** (m - power) for m in range(power, hi + 1)},
-                    power,
-                    hi,
-                )
-                per_slot[slot] = per_slot[slot] * ser if slot in per_slot else ser
-            slots = [per_slot.get(slot, one).coeffs for slot in range(1, self.n + 1)]
+                ser = {m: comb(m - 1, power - 1) * eps ** (m - power) for m in range(power, hi + 1)}
+                if slot in per_slot:
+                    ser = _truncated_product(per_slot[slot], ser, hi)
+                per_slot[slot] = ser
+            slots = [per_slot.get(slot, {0: 1}) for slot in range(1, self.n + 1)]
             _add_slot_products(out, c, slots, hi)
         return {e: c for e, c in out.items() if c}
 
@@ -692,7 +705,7 @@ def laplace_expansion_at_infinity(g: int, n: int, hi: int) -> Dict[MultiIndex, F
     """W_{g,n}(x(z)) prod x'(z_i) as coefficients of prod z_i^-e_i."""
     w = laplace_W(g, n, hi)
     parts = {a for alpha in w.coeffs for a in alpha}
-    pows = {a: pullback_series(a, "z", hi).coeffs for a in parts}
+    pows = {a: pullback_series(a, hi) for a in parts}
     out: Dict[MultiIndex, Fraction] = {}
     for alpha, v in w.ordered_items():
         _add_slot_products(out, v, [pows[a] for a in alpha], hi)
@@ -720,29 +733,52 @@ def tr_agreement_check(g: int, n: int, hi: int) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+def solve_disc(cap: int) -> Dict[int, Fraction]:
+    """The unique solution u in x^-1 * Q[[x^-2]] of u^2 - x*u + 1 = 0, as
+    coefficients of x^-m exact through m = 2*cap + 1.
+
+    Computed by the contraction u <- (1 + u^2)/x, which fixes two more
+    coefficients per pass; the coefficient of x^-(2k+1) is the k-th Catalan
+    number.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    hi = 2 * cap + 1
+    u = {1: 1}
+    for _ in range(cap):
+        u = {1: 1, **{m + 1: c for m, c in _truncated_product(u, u, hi - 1).items()}}
+    return u
+
+
 def tree_series_check(cap: int) -> List[str]:
-    """u0 = x*u satisfies u0^2 - x^2 u0 + x^2 = 0 within the window."""
+    """u^2 + 1 = x*u for u = solve_disc(cap), on every exponent where both
+    sides are exact (x*u is exact through x^-2cap)."""
     u = solve_disc(cap)
-    u0 = u.shift(-1)
-    lhs = u0 * u0 - u0.shift(-2) + LaurentSeries("x", {-2: 1}, -2, u0.hi - 2)
-    return [] if lhs.is_zero_on_window() else [f"tree-series residual {lhs.as_str()}"]
+    hi = 2 * cap
+    lhs = {(m,): c for m, c in _truncated_product(u, u, hi).items()}
+    lhs[(0,)] = lhs.get((0,), 0) + 1
+    rhs = {(m - 1,): c for m, c in u.items()}
+    return [
+        f"tree series exponent {e}: u^2 + 1 {lv} != x*u {rv}"
+        for e, lv, rv in _mismatches(lhs, rhs, hi)
+    ]
 
 
 def norbury_substitution_check(g: int, n: int, cap: int) -> List[str]:
     """F^comb_{g,n}(u(x_1), ..., u(x_n)) = W*_{g,n}(x) coefficientwise."""
     if (g, n) not in NORBURY_SUPPORTED:
         raise ValueError(f"supported (g, n): {sorted(NORBURY_SUPPORTED)}")
-    u = solve_disc(cap + 2)
+    u = solve_disc(cap)
     upow = {1: u}
     for b in range(2, cap + 1):
-        upow[b] = upow[b - 1] * u
+        upow[b] = _truncated_product(upow[b - 1], u, cap)
     lhs: Dict[MultiIndex, Fraction] = {}
     for alpha in itertools.product(range(1, cap + 1), repeat=n):
         if sum(alpha) > cap:
             continue
         nv = norbury_N(g, n, alpha)
         if nv:
-            _add_slot_products(lhs, nv, [upow[b].coeffs for b in alpha], cap)
+            _add_slot_products(lhs, nv, [upow[b] for b in alpha], cap)
     star = laplace_W(g, n, cap).star_coeffs()
     rhs = {perm: v for alpha, v in star.items() for perm in distinct_permutations(alpha)}
     return [

@@ -14,7 +14,7 @@ import pytest
 from dessins import maps, opmatrix, spectral, tutte
 from dessins import operators as ops
 from dessins import partition as pt
-from dessins.series import MARKER_NEG, Monomial, Poly, parse_poly, solve_disc
+from dessins.series import MARKER_NEG, Monomial, Poly, parse_poly
 
 
 def _report(num, text, t0):
@@ -23,13 +23,13 @@ def _report(num, text, t0):
 
 def test_criterion_01_catalan_disc_three_routes():
     t0 = time.time()
-    u = solve_disc(6)
+    u = spectral.solve_disc(6)
     z = pt.partition_function(5, with_marker=True)
     c = pt.connected(z)
     for k in range(6):
         cat = tutte.catalan(k)
         assert tutte.r_tilde(0, 1, (2 * k,)) == cat
-        assert u.coeff(2 * k + 1) == cat
+        assert u[2 * k + 1] == cat
         if k == 0:
             # the empty disc is the vacuum normalization of the flow route
             assert z.layer(0) == Poly.one()

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from dessins import maps
 from dessins import operators as ops
 from dessins import partition as pt
-from dessins.series import MARKER_NEG, Monomial, Poly, parse_poly
+from dessins.series import MARKER_NEG, Monomial, Poly, mu_factorial, parse_poly
 
 
 def P(*pairs):
@@ -155,6 +157,26 @@ def test_bivalent_layers_and_flow_order():
 def test_integral_points_series_layer1():
     ip = pt.integral_points_series(2)
     assert ip.layer(1) == P(({1: 1}, 1), ({2: 1}, 1), ({1: 2}, Fraction(1, 2)))
+
+
+def test_integral_points_series_matches_brute_force_through_layer3():
+    # q^n t^alpha t-^k of log Z at q0 = q1 = q counts connected maps with
+    # v2 = m = 2n - sum(alpha) bivalent and v4 = n - m quadrivalent vertices
+    c = pt.connected(pt.integral_points_series(3, with_marker=True))
+    checked = 0
+    for n in range(1, 4):
+        for mono, coeff in c.layer(n).terms.items():
+            alpha = mono.partition()
+            n_minus = mono.exp(MARKER_NEG)
+            m = 2 * n - sum(alpha)
+            v4 = n - m
+            # Euler: (v4 + m) - (2 v4 + m) + (n+ + n-) = 2 - 2g
+            g2 = 2 + v4 - len(alpha) - n_minus
+            assert m >= 0 and v4 >= 0 and g2 >= 0 and g2 % 2 == 0
+            spec = maps.EnumSpec(v4, m, len(alpha), n_minus, alpha, g=g2 // 2)
+            assert coeff * mu_factorial(alpha) / prod(alpha) == maps.count_dessins(spec)
+            checked += 1
+    assert checked == 34
 
 
 def test_marker_layers_resolve_negative_boundaries():

@@ -5,17 +5,46 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins import spectral as sp
 from dessins import tutte
-from dessins.series import RationalFn, solve_disc
+from dessins.series import RationalFn
 
 
 def test_w01_equals_disc_series():
     w = sp.laplace_W(0, 1, 12)
-    u = solve_disc(6)
+    u = sp.solve_disc(6)
     for k in range(6):
-        assert w.value((2 * k,)) == u.coeff(2 * k + 1) == tutte.catalan(k)
+        assert w.value((2 * k,)) == u[2 * k + 1] == tutte.catalan(k)
+
+
+rationals = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
+)
+series_tables = st.dictionaries(st.integers(min_value=0, max_value=12), rationals, max_size=6)
+
+
+@given(series_tables, series_tables, st.integers(min_value=-1, max_value=26))
+@settings(max_examples=80, deadline=None)
+def test_truncated_product_is_the_convolution_through_hi(a, b, hi):
+    got = sp._truncated_product(a, b, hi)
+    for m in range(hi + 1):
+        full = sum((v * b[m - i] for i, v in a.items() if m - i in b), Fraction(0))
+        assert got.get(m, 0) == full
+    assert all(m <= hi and v for m, v in got.items())
+
+
+def test_pullback_closed_form_is_the_product_of_its_factors():
+    # x^-(a+1) * x' with 1/x = sum (-1)^k z^-(2k+1) and x' = 1 - z^-2
+    for hi in range(17):
+        inv_x = {2 * k + 1: (-1) ** k for k in range(hi // 2 + 1)}
+        power = {0: 1}
+        for a in range(11):
+            power = sp._truncated_product(power, inv_x, hi)
+            want = sp._truncated_product(power, {0: 1, 2: -1}, hi)
+            assert sp.pullback_series(a, hi) == want, (a, hi)
 
 
 def test_correlators_even_support_only():
@@ -75,6 +104,11 @@ def _bump_norbury(real):
     return lambda g, n, alpha: real(g, n, alpha) + (sum(alpha) == 4)
 
 
+def _bump_disc(real):
+    # Catalan(2) = 2 at x^-5 becomes 3
+    return lambda cap: {**real(cap), 5: real(cap)[5] + 1}
+
+
 @pytest.mark.parametrize(
     "name,bump,check",
     [
@@ -84,8 +118,9 @@ def _bump_norbury(real):
         ("norbury_N", _bump_norbury, lambda: sp.norbury_substitution_check(0, 3, 8)),
         ("norbury_N", _bump_norbury, lambda: sp.norbury_substitution_check(0, 4, 8)),
         ("norbury_N", _bump_norbury, lambda: sp.norbury_substitution_check(1, 2, 8)),
+        ("solve_disc", _bump_disc, lambda: sp.tree_series_check(8)),
     ],
-    ids=["bergman", "tr", "norbury11", "norbury03", "norbury04", "norbury12"],
+    ids=["bergman", "tr", "norbury11", "norbury03", "norbury04", "norbury12", "tree"],
 )
 def test_spectral_checks_detect_a_bumped_input(monkeypatch, name, bump, check):
     monkeypatch.setattr(sp, name, bump(getattr(sp, name)))
@@ -98,11 +133,11 @@ def test_spectral_checks_detect_a_bumped_input(monkeypatch, name, bump, check):
 def test_disc_equation_is_loop_equation_at_01():
     # x W01 = W01^2 + 1 coefficientwise, reconstructed directly
     w = sp.laplace_W(0, 1, 14)
-    u = solve_disc(7)
-    sq = u * u
+    u = sp.solve_disc(7)
+    sq = sp._truncated_product(u, u, 12)
     for m in range(0, 12):
         lhs = w.value((m,))  # coefficient of x^-m in x*W01 is R~(m)
-        rhs = (sq.coeffs.get(m, 0) if m >= 2 else 0) + (1 if m == 0 else 0)
+        rhs = sq.get(m, 0) + (1 if m == 0 else 0)
         assert lhs == rhs
 
 
