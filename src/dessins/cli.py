@@ -58,8 +58,9 @@ EXIT_BUDGET = 3
 FLOW_DEPTH_BUDGET = 10
 
 # largest --deg-cap a verify request may give the commutator suites (witt,
-# bivalent); with --var-cap as large, the witt suite takes about 1.4 s at 14
-# on a 2-core Xeon VM, and each 2 more roughly double the time
+# bivalent); with --var-cap as large, a verify --suites witt process takes
+# about 2.0 s at 14 on a 2-core Intel Xeon VM (Python 3.11.7), and each 2
+# more multiply the time by about 1.8
 COMMUTATOR_DEG_BUDGET = 14
 
 # largest Euler degree 2g - 2 + n a tr or export-omega request may ask for;
@@ -496,7 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_counts)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suites", default="all", help=f"comma list from: {','.join(SUITES)},all")
+    p.add_argument(
+        "--suites", default="all",
+        help=f"comma list from: {','.join(SUITES)},all; a suite named twice runs once",
+    )
     p.add_argument("--deg-cap", dest="deg_cap", type=int, default=10)
     p.add_argument("--var-cap", dest="var_cap", type=int, default=12)
     p.add_argument("--dmax", type=int, default=4)
@@ -542,7 +546,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if getattr(args, "suites", None) is not None and isinstance(args.suites, str):
-        args.suites = [s.strip() for s in args.suites.split(",") if s.strip()]
+        # each suite once, in first-seen order, so stdout agrees with --out
+        args.suites = list(dict.fromkeys(s.strip() for s in args.suites.split(",") if s.strip()))
     try:
         if args.threads is None:
             env = os.environ.get("DESSINS_THREADS", "1")

@@ -13,14 +13,17 @@ one shared operator per argument value, so each group is built once per
 process, however many flows and checks meet it.
 
 The checks (``commutator_check`` here, ``opmatrix.cutjoin_matrix_check``)
-never apply an operator to a multi-term polynomial.  Each operator keeps,
-next to its groups, the image of every single monomial it has met, as
-integer numerators over its ``den``; ``composition_residual`` builds a
-composition such as a(b(m)) as an integer combination of the memoized
-images of the monomials of b(m), so each operator acts on each monomial
-once per process, however many checks meet it.  ``apply`` does not fill
-the image memo (a flow meets each monomial once), but it shares the inner
-loop ``_image_into`` with it.
+never apply an operator to a multi-term polynomial.  Each monomial held by
+a memoized image gets an integer id, once per process, and each operator
+keeps, next to its groups, the image of every monomial it has met, keyed by
+id: the ids of its monomials and their integer numerators over its ``den``.
+``composition_residual`` walks each chain such as a(b(m)) down from m and
+adds every part straight into one id-keyed accumulator over one common
+denominator, so each operator acts on each monomial once per process,
+however many checks meet it, and the hot loop hashes only ints.
+``basis_monomials`` builds the basis of each window once per process.
+``apply`` does not fill the image memo (a flow meets each monomial once),
+but it shares the inner loop ``_image_into`` with it.
 
 Available constructors:
 
@@ -42,7 +45,7 @@ s = the marker ``t-`` it tracks the number of negative boundary components.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -71,13 +74,22 @@ class DiffTerm:
     ders: Ders
 
 
-# an exact polynomial as integer numerators over one denominator: its
-# monomials and their numerators in two parallel tuples, then the denominator
-Image = Tuple[Tuple[Monomial, ...], Tuple[int, ...], int]
+# the image of one monomial: the ids of its monomials and their numerators
+# over the operator's den, in two parallel tuples
+Image = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-# one object for each monomial held by some memoized image, so the images
-# share their monomials instead of each keeping its own copy
-_SHARED_MONOMIALS: Dict[Monomial, Monomial] = {}
+# the id of each monomial held by some memoized image, and the monomial of
+# each id, so the images share their monomials and key them by plain ints
+_MONO_IDS: Dict[Monomial, int] = {}
+_MONOS: List[Monomial] = []
+
+
+def _mono_id(m: Monomial) -> int:
+    i = _MONO_IDS.get(m)
+    if i is None:
+        i = _MONO_IDS[m] = len(_MONOS)
+        _MONOS.append(m)
+    return i
 
 
 @dataclass(frozen=True)
@@ -96,8 +108,8 @@ class DiffOp:
     _groups: Dict[Ders, Group] = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
-    # the image of each monomial met so far (see ``image``)
-    _images: Dict[Monomial, Image] = field(
+    # the image of each monomial met so far, by monomial id (see ``image``)
+    _images: Dict[int, Image] = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
@@ -116,20 +128,16 @@ class DiffOp:
         group = self._groups[ders] = (sum(i * e for i, e in ders), tuple(entries))
         return group
 
-    def image(self, m: Monomial) -> Image:
-        """The exact image of the single monomial ``m``, computed once and
+    def image(self, i: int) -> Image:
+        """The exact image of the monomial with id ``i``, computed once and
         kept for the life of the operator."""
-        hit = self._images.get(m)
+        hit = self._images.get(i)
         if hit is None:
             acc: Dict[Monomial, int] = {}
-            _image_into(acc, self, m, 1)
-            share = _SHARED_MONOMIALS.setdefault
-            hit = (
-                tuple(share(k, k) for k, v in acc.items() if v),
-                tuple(v for v in acc.values() if v),
-                self.den,
-            )
-            self._images[share(m, m)] = hit
+            _image_into(acc, self, _MONOS[i], 1)
+            items = [(k, v) for k, v in acc.items() if v]
+            ids = tuple(_mono_id(k) for k, _ in items)
+            hit = self._images[i] = (ids, tuple(v for _, v in items))
         return hit
 
     def __repr__(self):
@@ -404,14 +412,19 @@ def basis_monomials(deg_cap: int, var_cap: int, t0_cap: int = 0) -> Iterator[Mon
 
     t0 carries weight 0, so its powers are enumerated separately up to
     ``t0_cap``; the d_0-containing parts of the operators are only exercised
-    with ``t0_cap`` > 0.  A negative cap raises ``ValueError`` at the call,
-    not at the first item.
+    with ``t0_cap`` > 0.  Each window is enumerated once per process and
+    every call returns a fresh iterator over it.  A negative cap raises
+    ``ValueError`` at the call, not at the first item.
     """
     if min(deg_cap, var_cap, t0_cap) < 0:
         raise ValueError(
             f"basis caps must be >= 0, got deg_cap={deg_cap}, var_cap={var_cap}, t0_cap={t0_cap}"
         )
+    return iter(_basis(deg_cap, var_cap, t0_cap))
 
+
+@cache
+def _basis(deg_cap: int, var_cap: int, t0_cap: int) -> Tuple[Monomial, ...]:
     def rec(max_part: int, budget: int, acc: Dict[int, int]) -> Iterator[Monomial]:
         for a in range(t0_cap + 1):
             if a:
@@ -425,27 +438,21 @@ def basis_monomials(deg_cap: int, var_cap: int, t0_cap: int = 0) -> Iterator[Mon
             if not acc[part]:
                 del acc[part]
 
-    return rec(min(var_cap, deg_cap), deg_cap, {})
+    return tuple(rec(min(var_cap, deg_cap), deg_cap, {}))
 
 
-def _combine(parts: List[Tuple[Fraction | int, Image]]) -> Tuple[Dict[Monomial, int], int]:
-    """sum c * p over ``parts``, accumulated in integers over one common
-    denominator: (numerators, denominator)."""
-    den = lcm(*(c.denominator * d for c, (_, _, d) in parts))
-    acc: Dict[Monomial, int] = {}
-    for c, (monos, nums, d) in parts:
-        f = c.numerator * (den // (c.denominator * d))
-        for k, v in zip(monos, nums):
-            acc[k] = acc.get(k, 0) + f * v
-    return acc, den
-
-
-def _image_of(op: DiffOp, p: Image) -> Image:
-    """The image of ``p`` under ``op``, as the integer combination of the
-    memoized images of its monomials."""
-    monos, nums, den = p
-    acc, common = _combine([(c, op.image(m)) for m, c in zip(monos, nums) if c])
-    return tuple(acc), tuple(acc.values()), den * common
+def _chain_into(acc: Dict[int, int], chain: Tuple[DiffOp, ...], n: int, i: int, f: int) -> None:
+    """Add ``f`` times the image of the monomial with id ``i`` under the
+    first ``n`` operators of ``chain``, applied right to left, to ``acc``,
+    as numerators over the product of their dens."""
+    op = chain[n - 1]
+    ids, nums = op.image(i)
+    if n == 1:
+        for k, v in zip(ids, nums):
+            acc[k] += f * v
+    else:
+        for k, v in zip(ids, nums):
+            _chain_into(acc, chain, n - 1, k, f * v)
 
 
 def composition_residual(
@@ -455,19 +462,24 @@ def composition_residual(
     chain of operators applied right to left; None when it vanishes.
 
     Every operator acts only on single monomials, through its memoized
-    images, and a ``Poly`` is built only for a nonzero residual.
+    images, and every part is added into one accumulator over one common
+    denominator; a ``Poly`` is built only for a nonzero residual.
     """
-    terms = []
+    parts = [(c, chain) for c, chain in parts if c]
+    dens = []
     for c, chain in parts:
-        if c:
-            p = chain[-1].image(m)
-            for op in reversed(chain[:-1]):
-                p = _image_of(op, p)
-            terms.append((c, p))
-    acc, den = _combine(terms)
+        d = c.denominator
+        for op in chain:
+            d *= op.den
+        dens.append(d)
+    den = lcm(*dens)
+    i = _mono_id(m)
+    acc: Dict[int, int] = defaultdict(int)
+    for (c, chain), d in zip(parts, dens):
+        _chain_into(acc, chain, len(chain), i, c.numerator * (den // d))
     if not any(acc.values()):
         return None
-    return Poly.from_numerators(acc, den)
+    return Poly.from_numerators({_MONOS[k]: v for k, v in acc.items()}, den)
 
 
 def commutator_check(

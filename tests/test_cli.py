@@ -77,6 +77,26 @@ def test_verify_aggregates_without_short_circuit(monkeypatch):
     assert "FAIL witt" in out and "PASS bergman" in out
 
 
+def test_verify_runs_a_repeated_suite_once(monkeypatch, tmp_path):
+    calls = []
+
+    def fake(name):
+        def suite(args):
+            calls.append(name)
+            return []
+
+        return suite
+
+    for name in ("witt", "bergman"):
+        monkeypatch.setitem(cli.SUITE_FNS, name, fake(name))
+    out_path = tmp_path / "report.json"
+    code, out = run_cli("verify", "--suites", "witt, bergman,witt,,bergman", "--out", str(out_path))
+    assert code == 0
+    assert calls == ["witt", "bergman"]
+    assert out == "PASS witt\nPASS bergman\n"
+    assert json.loads(out_path.read_text()) == {"witt": [], "bergman": []}
+
+
 def test_budget_exit_code():
     code, _ = run_cli(
         "verify", "--suites", "oracle", "--s-max", "12", "--n-budget", "8"

@@ -315,6 +315,71 @@ def test_negative_basis_caps_raise(caps):
 
 
 # ---------------------------------------------------------------------------
+# composition_residual on chains of each length, and the cached basis
+# ---------------------------------------------------------------------------
+
+
+def _chain_reference(m, parts):
+    """sum c * (o_1 ... o_k)(m) over ``parts``, by ``apply``; None if zero."""
+    total = Poly()
+    for c, chain in parts:
+        p = Poly.term(m, 1)
+        for op in reversed(chain):
+            p = ops.apply(op, p)
+        total = total + p.scale(c)
+    return None if total.is_zero() else total
+
+
+def _mixed_chains(length):
+    """Parts of ``length`` operators mixing the dens 2 (W1), 3 (L0/3) and
+    that of the growing-den operator, one of them with coefficient 0 around
+    a cold operator that only it holds."""
+    w, l0, g = ops.w1(), ops.scaled(L(0), Fraction(1, 3)), _growing_den_op()
+    zero = dataclasses.replace(ops.w0())
+    chains = [(w, l0, g), (g, w, l0), (l0, g, w)]
+    coeffs = [Fraction(1), Fraction(-7, 4), Fraction(2, 3)]
+    parts = [(c, chain[:length]) for c, chain in zip(coeffs, chains)]
+    return parts + [(Fraction(0), (zero,) * length)], zero
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_composition_residual_matches_apply_on_chains(length):
+    parts, zero = _mixed_chains(length)
+    nonzero = 0
+    for m in ops.basis_monomials(5, 5, 2):
+        got, want = ops.composition_residual(m, parts), _chain_reference(m, parts)
+        assert got == want
+        if want is not None:
+            nonzero += 1
+            assert got.as_str() == want.as_str()
+    assert nonzero and not zero._images
+
+
+def _basis_reference(deg_cap, var_cap, t0_cap):
+    """The basis by a fresh recursive enumeration, in the package's order."""
+
+    def rec(max_part, budget, parts):
+        for a in range(t0_cap + 1):
+            yield Monomial({0: a, **Counter(parts)})
+        for part in range(1, min(max_part, budget) + 1):
+            yield from rec(part, budget - part, parts + [part])
+
+    return list(rec(min(var_cap, deg_cap), deg_cap, []))
+
+
+@pytest.mark.parametrize("caps", [(0, 0, 0), (4, 4, 2), (6, 3, 1), (5, 9, 0), (8, 8, 3)])
+def test_cached_basis_repeats_the_fresh_enumeration(caps):
+    want = _basis_reference(*caps)
+    assert list(ops.basis_monomials(*caps)) == want
+    assert list(ops.basis_monomials(*caps)) == want
+    # two iterators over one window, taken at once, advance independently
+    first, second = ops.basis_monomials(*caps), ops.basis_monomials(*caps)
+    head = [next(first) for _ in range(min(3, len(want)))]
+    assert list(second) == want
+    assert head + list(first) == want
+
+
+# ---------------------------------------------------------------------------
 # the memoized pattern groups against the naive term-by-monomial loop
 # ---------------------------------------------------------------------------
 
