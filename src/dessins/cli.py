@@ -193,8 +193,6 @@ def cmd_counts(args) -> int:
     alpha = tuple(int(a) for a in args.alpha.replace(",", " ").split())
     if not alpha or any(a < 1 for a in alpha):
         return _usage_error("alpha must be positive integers")
-    if args.nplus is not None and args.nplus != len(alpha):
-        return _usage_error("--nplus must match the number of alpha entries")
     if args.m < 0:
         return _usage_error("--m must be >= 0")
     if args.g is not None and args.g < 0:
@@ -304,7 +302,7 @@ def _suite_bivalent(args) -> List[str]:
     for v4, v2 in itertools.product(range(3), range(5)):
         if v4 == v2 == 0:
             continue
-        tbl = maps._dessin_table(v4, v2, True, args.n_budget)
+        tbl = maps._dessin_table(v4, v2, args.n_budget)
         for (g, n_minus, perims), _cnt in tbl.items():
             alpha = tuple(perims)
             key = pt.CountKey(g, len(alpha), n_minus, alpha, m=v2)
@@ -368,11 +366,14 @@ def cmd_verify(args) -> int:
         return _usage_error("--deg-cap and --var-cap must be >= 0")
     if args.n_budget < 0:
         return _usage_error("--n-budget must be >= 0")
+    if args.dmax < 0 or args.s_max < 0:
+        return _usage_error("--dmax and --s-max must be >= 0")
     _check_order(args.order)
     if args.deg_cap > COMMUTATOR_DEG_BUDGET:
         raise maps.BudgetExceeded(
             f"--deg-cap {args.deg_cap} exceeds budget {COMMUTATOR_DEG_BUDGET}"
         )
+    _check_flow_depth(max(args.dmax, args.s_max // 2))
     names = SUITES if args.suites == ["all"] else args.suites
     if not names:
         return _usage_error(f"no suites given; known: {', '.join(SUITES)}")
@@ -429,8 +430,8 @@ def cmd_export(args) -> int:
         block = opmatrix.kernel_block(args.g, args.nplus, args.nminus, args.cap)
         _emit(_json_dumps(block.to_json_dict()), args.out)
     elif args.what == "maps":
-        if args.v4 < 0 or args.v2 < 0:
-            return _usage_error("--v4 and --v2 must be >= 0")
+        if args.v4 < 0 or args.v2 < 0 or args.v4 == args.v2 == 0:
+            return _usage_error("--v4 and --v2 must be >= 0 and give at least one vertex")
         if args.n_budget < 0:
             return _usage_error("--n-budget must be >= 0")
         valences = (4,) * args.v4 + (2,) * args.v2
@@ -489,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counts", help="weighted dessin counts for a profile")
     p.add_argument("--g", type=int, default=None)
-    p.add_argument("--nplus", type=int, default=None)
     p.add_argument("--alpha", required=True, help="positive perimeters, e.g. '1 1 2'")
     p.add_argument("--m", type=int, default=0, help="bivalent vertex count")
     p.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -1,4 +1,4 @@
-r"""Brute-force enumeration of ribbon graphs as permutation data.
+r"""Brute-force enumeration of connected ribbon graphs as permutation data.
 
 A combinatorial map on darts 0..N-1 is a pair (s0, s1): s0 is the vertex
 rotation (cycle type = the vertex valences), s1 the fixed-point-free edge
@@ -6,6 +6,11 @@ involution.  Faces are the orbits of (s0 s1)^-1.  A *direction* is a dart
 sign map with eps(s0 d) = -eps(d) and eps(s1 d) = -eps(d); it exists iff the
 dual is bipartite, is constant on faces, and on a connected map is unique up
 to the global flip.
+
+Every walk here is a walk over connected maps: all of them share one step,
+``_connected_maps``, which keeps the s1 for which <s0, s1> is transitive and
+reads off the faces.  A connected map with Euler characteristic chi has
+genus (2 - chi)/2.
 
 Counting convention: automorphism-weighted counts sum 1/#Aut over
 isomorphism classes.  They are computed without ever listing automorphisms,
@@ -22,10 +27,9 @@ transitively on them (rotating one vertex cycle by one step flips that
 vertex's pattern) and preserves genus, face perimeters and face signs.  So
 the tables fix one pattern (+ on even cycle positions), let s1 range over the
 (N/2)! bijections from the + darts to the - darts, each of which is a
-direction by construction, and multiply every count by 2^v.  For a map
-with k components and Euler characteristic chi the total genus is
-(2k - chi)/2.  That one walk, ``sign_pattern_maps``, feeds both the count
-tables here and the kernel structures of ``opmatrix``.
+direction by construction, and multiply every count by 2^v.  That one
+walk, ``sign_pattern_maps``, feeds both the count tables here and the kernel
+structures of ``opmatrix``.
 
 Lattice points of metric ribbon graphs (integer edge lengths with
 prescribed face perimeters) are counted in one place, ``lattice_series``,
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Perm = Tuple[int, ...]
 
@@ -136,28 +140,24 @@ def components(s0: Perm, s1: Perm) -> List[int]:
     return [find(d) for d in range(n)]
 
 
-def direction_coloring(s0: Perm, s1: Perm, comp: Sequence[int]) -> Optional[List[int]]:
+def direction_coloring(s0: Perm, s1: Perm) -> Optional[List[int]]:
     """A sign map with eps(s0 d) = eps(s1 d) = -eps(d), or None.
 
-    The returned coloring gives each component's least dart the sign +1;
-    every other consistent coloring flips whole components.
+    The coloring starts from eps(0) = +1, so on a connected map it is the
+    only one besides its global flip.
     """
-    n = len(s0)
-    eps = [0] * n
-    for start in range(n):
-        if eps[start]:
-            continue
-        eps[start] = 1
-        stack = [start]
-        while stack:
-            d = stack.pop()
-            for e in (s0[d], s1[d]):
-                want = -eps[d]
-                if eps[e] == 0:
-                    eps[e] = want
-                    stack.append(e)
-                elif eps[e] != want:
-                    return None
+    eps = [0] * len(s0)
+    eps[0] = 1
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        for e in (s0[d], s1[d]):
+            want = -eps[d]
+            if eps[e] == 0:
+                eps[e] = want
+                stack.append(e)
+            elif eps[e] != want:
+                return None
     return eps
 
 
@@ -168,17 +168,25 @@ def face_orbits(s0: Perm, s1: Perm) -> List[Tuple[int, ...]]:
     return orbits(p)
 
 
+def _connected_maps(
+    s0: Perm, involutions: Iterable[Sequence[int]]
+) -> Iterator[Tuple[Sequence[int], List[Tuple[int, ...]]]]:
+    """(s1, faces) for each s1 of ``involutions`` with <s0, s1> transitive."""
+    for s1 in involutions:
+        if len(set(components(s0, s1))) == 1:
+            yield s1, face_orbits(s0, s1)
+
+
 @dataclass(frozen=True)
 class DirectedMap:
-    """A connected-or-not directed map with its face data."""
+    """A connected directed map with its face data."""
 
     s0: Perm
     s1: Perm
     eps: Tuple[int, ...]
     faces: Tuple[Tuple[int, ...], ...]
     face_sign: Tuple[int, ...]
-    n_components: int
-    total_genus: int
+    genus: int
 
     @property
     def pos_perims(self) -> Tuple[int, ...]:
@@ -190,13 +198,13 @@ class DirectedMap:
 
 
 def directed_maps(
-    valences: Sequence[int], connected_only: bool = True, budget: int = DEFAULT_DART_BUDGET
+    valences: Sequence[int], budget: int = DEFAULT_DART_BUDGET
 ) -> Iterator[DirectedMap]:
-    """All directed maps with the given vertex valences, s0 canonical.
+    """All connected directed maps with the given vertex valences, s0 canonical.
 
-    Each consistent underlying map is emitted once per direction (global
-    sign flips included), so weighted counts are sums over the results
-    divided by the centralizer order of s0.
+    Each consistent underlying map is emitted once per direction, its
+    coloring from dart 0 and then the global flip, so weighted counts are
+    sums over the results divided by the centralizer order of s0.
     """
     n = sum(valences)
     if n > budget:
@@ -204,50 +212,18 @@ def directed_maps(
     if n == 0:
         return
     s0 = canonical_s0(valences)
-    v_count = len(valences)
-    for s1 in fpf_involutions(n):
-        comp = components(s0, s1)
-        comp_ids = sorted(set(comp))
-        n_comp = len(comp_ids)
-        if connected_only and n_comp > 1:
+    for s1, faces in _connected_maps(s0, fpf_involutions(n)):
+        eps = direction_coloring(s0, s1)
+        if eps is None:
             continue
-        base = direction_coloring(s0, s1, comp)
-        if base is None:
-            continue
-        faces = face_orbits(s0, s1)
-        # vertices per component for the genus computation
-        vstart = []
-        start = 0
-        for v in valences:
-            vstart.append(start)
-            start += v
-        for flips in range(1 << n_comp):
-            eps = list(base)
-            for ci, cid in enumerate(comp_ids):
-                if flips >> ci & 1:
-                    for d in range(n):
-                        if comp[d] == cid:
-                            eps[d] = -eps[d]
-            sign = []
-            ok = True
-            for f in faces:
-                s = eps[f[0]]
-                if any(eps[d] != s for d in f):
-                    ok = False
-                    break
-                sign.append(s)
-            if not ok:
-                raise AssertionError("direction not constant on a face")
-            total_genus = 0
-            for cid in comp_ids:
-                vv = sum(1 for s in vstart if comp[s] == cid)
-                ee = sum(1 for d in range(n) if comp[d] == cid) // 2
-                ff = sum(1 for f in faces if comp[f[0]] == cid)
-                chi = vv - ee + ff
-                assert (2 - chi) % 2 == 0
-                total_genus += (2 - chi) // 2
+        sign = [eps[f[0]] for f in faces]
+        if any(eps[d] != s for f, s in zip(faces, sign) for d in f):
+            raise AssertionError("direction not constant on a face")
+        genus = (2 - len(valences) + n // 2 - len(faces)) // 2
+        for flip in (1, -1):
             yield DirectedMap(
-                s0, s1, tuple(eps), tuple(faces), tuple(sign), n_comp, total_genus
+                s0, s1, tuple(flip * e for e in eps), tuple(faces),
+                tuple(flip * s for s in sign), genus,
             )
 
 
@@ -261,7 +237,6 @@ class EnumSpec:
     n_minus: int
     alpha: Tuple[int, ...]
     g: Optional[int] = None
-    connected_only: bool = True
 
     @property
     def n_darts(self) -> int:
@@ -283,55 +258,51 @@ def configure_threads(threads: int) -> None:
 
 
 def sign_pattern_maps(
-    valences: Sequence[int], connected_only: bool, first_image: int
-) -> Iterator[Tuple[List[int], int, List[Tuple[int, ...]]]]:
-    """Walk one slice of the directed maps on the fixed sign pattern.
+    valences: Sequence[int], first_image: int
+) -> Iterator[Tuple[List[int], List[Tuple[int, ...]]]]:
+    """Walk one slice of the connected directed maps on the fixed sign pattern.
 
     All valences are even, so every cycle of the canonical s0 starts at an
     even dart and the pattern with + on even cycle positions is + on the
     even darts.  ``s1`` pairs the even darts with the odd darts bijectively,
     so every map is directed by construction; the slice holds the
-    bijections sending dart 0 to ``first_image``.  Yields (s1, number of
-    components, faces) per map, skipping disconnected maps when
-    ``connected_only`` is set.  ``s1`` is one list updated in place, valid
-    until the next step.  A face's sign is the sign of any of its darts.
+    bijections sending dart 0 to ``first_image``.  Yields (s1, faces) per
+    connected map.  ``s1`` is one list updated in place, valid until the
+    next step.  A face's sign is the sign of any of its darts.
     """
     n = sum(valences)
-    s0 = canonical_s0(valences)
     s1 = [0] * n
     s1[0], s1[first_image] = first_image, 0
     rest = [m for m in range(1, n, 2) if m != first_image]
-    for images in itertools.permutations(rest):
-        for p, m in zip(range(2, n, 2), images):
-            s1[p] = m
-            s1[m] = p
-        n_comp = len(set(components(s0, s1)))
-        if connected_only and n_comp > 1:
-            continue
-        yield s1, n_comp, face_orbits(s0, s1)
+
+    def bijections() -> Iterator[List[int]]:
+        for images in itertools.permutations(rest):
+            for p, m in zip(range(2, n, 2), images):
+                s1[p] = m
+                s1[m] = p
+            yield s1
+
+    yield from _connected_maps(canonical_s0(valences), bijections())
 
 
-def _scan_slice(
-    valences: Tuple[int, ...], connected_only: bool, first_image: int
-) -> Dict[TableKey, int]:
-    """Count one slice of the sign-pattern walk.  Keys are (total genus,
-    n_minus, sorted positive perimeters); counts are per sign pattern."""
+def _scan_slice(valences: Tuple[int, ...], first_image: int) -> Dict[TableKey, int]:
+    """Count one slice of the sign-pattern walk.  Keys are (genus, n_minus,
+    sorted positive perimeters); counts are per sign pattern."""
     n = sum(valences)
     n_vert = len(valences)
     table: Dict[TableKey, int] = {}
-    for _s1, n_comp, faces in sign_pattern_maps(valences, connected_only, first_image):
+    for _s1, faces in sign_pattern_maps(valences, first_image):
         pos_perims = tuple(sorted(len(f) for f in faces if f[0] % 2 == 0))
         chi = n_vert - n // 2 + len(faces)
-        key = ((2 * n_comp - chi) // 2, len(faces) - len(pos_perims), pos_perims)
+        key = ((2 - chi) // 2, len(faces) - len(pos_perims), pos_perims)
         table[key] = table.get(key, 0) + 1
     return table
 
 
 @lru_cache(maxsize=None)
-def _dessin_table(
-    v4: int, v2: int, connected_only: bool, budget: int
-) -> Dict[TableKey, int]:
-    """Directed-map counts keyed by (total genus, n_minus, sorted positive perims).
+def _dessin_table(v4: int, v2: int, budget: int) -> Dict[TableKey, int]:
+    """Connected directed-map counts keyed by (genus, n_minus, sorted
+    positive perims).
 
     One slice per image of the first + dart (dart 0); the slice counts are
     summed and scaled by the 2^v sign patterns.  Independent of the worker
@@ -343,7 +314,7 @@ def _dessin_table(
         return {}
     if n > budget:
         raise BudgetExceeded(f"{n} darts exceed budget {budget}")
-    jobs = [(valences, connected_only, m) for m in range(1, n, 2)]
+    jobs = [(valences, m) for m in range(1, n, 2)]
     if _SCAN_THREADS > 1 and n >= 10:
         import multiprocessing
 
@@ -381,7 +352,7 @@ def count_dessins(spec: EnumSpec, budget: int = DEFAULT_DART_BUDGET) -> Fraction
         return Fraction(0)
     if spec.n_darts > budget:
         raise BudgetExceeded(f"{spec.n_darts} darts exceed budget {budget}")
-    table = _dessin_table(spec.v4, spec.v2, spec.connected_only, budget)
+    table = _dessin_table(spec.v4, spec.v2, budget)
     perims = tuple(sorted(spec.alpha))
     total = 0
     for (g, n_minus, pp), cnt in table.items():
@@ -469,10 +440,9 @@ def _norbury_cells(g: int, n: int) -> Tuple[Tuple[Tuple[Edge, ...], Fraction], .
     for valences in _valence_types(g, n):
         s0 = canonical_s0(valences)
         w = Fraction(1, centralizer_order(valences))
-        for s1 in fpf_involutions(len(s0)):
+        for s1, faces in _connected_maps(s0, fpf_involutions(len(s0))):
             # v - e = 2 - 2g - n by the valence type, so n faces fix the genus
-            faces = face_orbits(s0, s1)
-            if len(faces) != n or len(set(components(s0, s1))) > 1:
+            if len(faces) != n:
                 continue
             face_of = {d: i for i, f in enumerate(faces) for d in f}
             edges = tuple(sorted(
@@ -523,16 +493,15 @@ def _cycles_str(perm: Perm) -> str:
     ) or "()"
 
 
-def map_dump_lines(
-    valences: Sequence[int], connected_only: bool = True, budget: int = DEFAULT_DART_BUDGET
-) -> Iterator[str]:
-    """Line-oriented dump: dart count, s0 cycles, s1 pairs, signed faces."""
-    for dm in directed_maps(valences, connected_only=connected_only, budget=budget):
+def map_dump_lines(valences: Sequence[int], budget: int = DEFAULT_DART_BUDGET) -> Iterator[str]:
+    """Line-oriented dump of the connected directed maps: dart count, s0
+    cycles, s1 pairs, genus, signed faces."""
+    for dm in directed_maps(valences, budget=budget):
         faces = " ".join(
             ("+" if s > 0 else "-") + "(" + " ".join(str(d) for d in f) + ")"
             for f, s in zip(dm.faces, dm.face_sign)
         )
         yield (
             f"darts={len(dm.s0)} s0={_cycles_str(dm.s0)} s1={_cycles_str(dm.s1)} "
-            f"genus={dm.total_genus} faces={faces}"
+            f"genus={dm.genus} faces={faces}"
         )

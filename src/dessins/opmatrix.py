@@ -115,7 +115,7 @@ def _structures(d: int) -> Tuple[Tuple[tuple, int], ...]:
         raise maps.BudgetExceeded(f"{n} darts exceed budget {maps.DEFAULT_DART_BUDGET}")
     found: Dict[tuple, int] = {}
     for first_image in range(1, n, 2):
-        for s1, _, faces in maps.sign_pattern_maps(valences, True, first_image):
+        for s1, faces in maps.sign_pattern_maps(valences, first_image):
             pos = [f for f in faces if f[0] % 2 == 0]
             neg = [f for f in faces if f[0] % 2]
             slot = [0] * n

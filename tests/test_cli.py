@@ -198,6 +198,8 @@ def test_export_correlator_json(tmp_path):
         ("export", "--what", "correlator", "--cap", "-1"),
         ("export", "--what", "maps", "--v4", "-1"),
         ("export", "--what", "maps", "--v2", "-1"),
+        ("export", "--what", "maps", "--v4", "0", "--v2", "0"),
+        ("counts", "--alpha", "2", "--nplus", "1"),
         ("tr", "--g", "0", "--n", "3", "--order", "-1"),
         ("tr", "--g", "-1", "--n", "5"),
         ("export", "--what", "omega", "--g", "-1", "--n", "5"),
@@ -209,6 +211,9 @@ def test_export_correlator_json(tmp_path):
         ("verify", "--suites", "all", "--var-cap", "-2"),
         ("verify", "--suites", ","),
         ("verify", "--suites", "oracle", "--n-budget", "-1"),
+        ("verify", "--suites", "witt", "--dmax", "-5"),
+        ("verify", "--suites", "virasoro", "--dmax", "-5"),
+        ("verify", "--suites", "oracle", "--s-max", "-1"),
         ("export", "--what", "maps", "--n-budget", "-1"),
         ("--threads", "0", "zfun", "--dmax", "1"),
         ("--threads", "-1", "zfun", "--dmax", "1"),
@@ -234,6 +239,9 @@ def test_kernel_over_budget_exits_budget_with_message():
         ("counts", "--alpha", "22"),
         ("counts", "--alpha", "21", "--m", "1"),
         ("export", "--what", "counts", "--s-max", "22"),
+        ("verify", "--suites", "virasoro", "--dmax", "11"),
+        ("verify", "--suites", "witt", "--dmax", "11"),
+        ("verify", "--suites", "oracle", "--s-max", "22"),
     ],
     ids=" ".join,
 )

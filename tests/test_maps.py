@@ -27,8 +27,11 @@ def test_budget_error():
 
 
 def test_direction_constraints_and_biparticity():
-    for dm in maps.directed_maps((4, 4), connected_only=True):
+    directions = {}
+    for dm in maps.directed_maps((4, 4)):
         n = len(dm.s0)
+        assert len(set(maps.components(dm.s0, dm.s1))) == 1
+        directions.setdefault(dm.s1, []).append(dm.eps)
         for d in range(n):
             assert dm.eps[dm.s0[d]] == -dm.eps[d]
             assert dm.eps[dm.s1[d]] == -dm.eps[d]
@@ -37,7 +40,13 @@ def test_direction_constraints_and_biparticity():
         pos = sum(len(f) for f, s in zip(dm.faces, dm.face_sign) if s > 0)
         neg = sum(len(f) for f, s in zip(dm.faces, dm.face_sign) if s < 0)
         assert pos == neg == n // 2
-        assert dm.total_genus >= 0
+        assert dm.genus >= 0
+        assert 2 * dm.genus == 2 - len(maps.orbits(dm.s0)) + n // 2 - len(dm.faces)
+    # every connected map once per direction: a coloring, then its global flip
+    assert directions
+    for eps_list in directions.values():
+        assert len(eps_list) == 2
+        assert eps_list[1] == tuple(-e for e in eps_list[0])
 
 
 def _centralizer_elements(valences):
@@ -92,8 +101,8 @@ def test_orbit_stabilizer_consistency_small():
         elems = list(_centralizer_elements(valences))
         inv = {g: tuple(sorted(range(len(g)), key=lambda i: g[i])) for g in elems}
         structures = []
-        for dm in maps.directed_maps(valences, connected_only=True):
-            if dm.total_genus != spec.g or dm.n_minus != spec.n_minus:
+        for dm in maps.directed_maps(valences):
+            if dm.genus != spec.g or dm.n_minus != spec.n_minus:
                 continue
             pos_faces = [f for f, s in zip(dm.faces, dm.face_sign) if s > 0]
             perims = [len(f) for f in pos_faces]
@@ -218,31 +227,30 @@ def test_dump_format_golden():
 
 def test_parallel_scan_matches_sequential():
     maps._dessin_table.cache_clear()
-    seq = maps._dessin_table(2, 1, True, 16)
+    seq = maps._dessin_table(2, 1, 16)
     maps._dessin_table.cache_clear()
     maps.configure_threads(2)
     try:
-        par = maps._dessin_table(2, 1, True, 16)
+        par = maps._dessin_table(2, 1, 16)
     finally:
         maps.configure_threads(1)
         maps._dessin_table.cache_clear()
     assert seq == par
 
 
-def _reference_table(valences, connected_only):
+def _reference_table(valences):
     """Per-direction table over all N!! involutions, via ``directed_maps``."""
     table = {}
-    for dm in maps.directed_maps(valences, connected_only=connected_only):
-        key = (dm.total_genus, dm.n_minus, dm.pos_perims)
+    for dm in maps.directed_maps(valences):
+        key = (dm.genus, dm.n_minus, dm.pos_perims)
         table[key] = table.get(key, 0) + 1
     return table
 
 
-@pytest.mark.parametrize("connected_only", [True, False])
-def test_sign_pattern_table_matches_all_involutions(connected_only):
+def test_sign_pattern_table_matches_all_involutions():
     pairs = [(v4, v2) for v4 in range(4) for v2 in range(7) if 0 < 4 * v4 + 2 * v2 <= 12]
     assert len(pairs) == 15
     for v4, v2 in pairs:
-        want = _reference_table((4,) * v4 + (2,) * v2, connected_only)
+        want = _reference_table((4,) * v4 + (2,) * v2)
         assert want
-        assert maps._dessin_table(v4, v2, connected_only, 12) == want, (v4, v2)
+        assert maps._dessin_table(v4, v2, 12) == want, (v4, v2)

@@ -158,9 +158,9 @@ def test_kernel_blocks_of_one_degree_share_one_walk(monkeypatch):
     slices = []
     walk = maps.sign_pattern_maps
 
-    def counting(valences, connected_only, first_image):
+    def counting(valences, first_image):
         slices.append(first_image)
-        return walk(valences, connected_only, first_image)
+        return walk(valences, first_image)
 
     monkeypatch.setattr(maps, "sign_pattern_maps", counting)
     om._structures.cache_clear()
@@ -236,10 +236,10 @@ def _reference_block(g, n_plus, n_minus, cap):
     d = om.euler_degree(g, n_plus, n_minus)
     valences = (4,) * d
     structures = []
-    for dm in maps.directed_maps(valences, connected_only=True):
+    for dm in maps.directed_maps(valences):
         pos = [i for i, s in enumerate(dm.face_sign) if s > 0]
         neg = [i for i, s in enumerate(dm.face_sign) if s < 0]
-        if dm.total_genus != g or len(pos) != n_plus or len(neg) != n_minus:
+        if dm.genus != g or len(pos) != n_plus or len(neg) != n_minus:
             continue
         face_of = {dart: i for i, f in enumerate(dm.faces) for dart in f}
         incidence = [
