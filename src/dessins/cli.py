@@ -21,7 +21,6 @@ import csv
 import io
 import itertools
 import json
-import os
 import sys
 from functools import lru_cache
 from math import prod
@@ -31,21 +30,6 @@ from . import maps, opmatrix, partition as pt, spectral, tutte
 from . import operators as ops
 from .series import mu_factorial, sorted_multi
 
-
-SUITES = (
-    "cutjoin",
-    "witt",
-    "virasoro",
-    "tutte",
-    "oracle",
-    "opmatrix",
-    "loop",
-    "bergman",
-    "tr",
-    "norbury",
-    "adjoint",
-    "bivalent",
-)
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -63,11 +47,11 @@ FLOW_DEPTH_BUDGET = 10
 # more multiply the time by about 1.8
 COMMUTATOR_DEG_BUDGET = 14
 
-# largest Euler degree 2g - 2 + n a tr or export-omega request may ask for;
+# largest Euler degree 2g - 2 + n a tr request may ask for;
 # cold, (0,6) takes about 4 s on a 2-core VM, and (2,3) at degree 5 about 12 s
 TR_DEGREE_BUDGET = 4
 
-# largest --order a tr, export-omega or verify request may give; cold, tr
+# largest --order a tr or verify request may give; cold, tr
 # (0,6) takes about 8.5 s at order 12 and 14-17 s at 16 on a 2-core VM, and
 # verify --suites tr 5.8 s at 24 and 20 s at 30
 ORDER_BUDGET = 12
@@ -95,9 +79,10 @@ def _usage_error(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _check_order(order: int):
-    if order > ORDER_BUDGET:
-        raise maps.BudgetExceeded(f"--order {order} exceeds budget {ORDER_BUDGET}")
+def _check_budget(what: str, value: int, budget: int):
+    """Exit 3, through ``main``, when a request asks for more than a budget."""
+    if value > budget:
+        raise maps.BudgetExceeded(f"{what} is {value}, over the budget of {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +90,9 @@ def _check_order(order: int):
 # ---------------------------------------------------------------------------
 
 
-def _check_flow_depth(d: int, m: int = 0):
-    if d + m > FLOW_DEPTH_BUDGET:
-        raise maps.BudgetExceeded(
-            f"flow depth {d + m} (q0^{m} q1^{d}) exceeds budget {FLOW_DEPTH_BUDGET}"
-        )
-
-
 def cmd_zfun(args) -> int:
-    _check_flow_depth(args.dmax, args.dmax0 if args.bivalent else 0)
+    _check_budget("flow depth m + d", args.dmax + (args.dmax0 if args.bivalent else 0),
+                  FLOW_DEPTH_BUDGET)
     if args.bivalent:
         z = pt.partition_function_bivalent(args.dmax0, args.dmax, with_marker=args.marker)
     else:
@@ -139,20 +118,17 @@ def cmd_zfun(args) -> int:
 
 def _connected_series(d: int, m: int) -> pt.QSeries:
     """Connected marked series to quadrivalent depth ``d`` with ``m`` bivalent vertices."""
-    _check_flow_depth(d, m)
+    _check_budget("flow depth m + d", d + m, FLOW_DEPTH_BUDGET)
     return pt.connected(pt.partition_function_bivalent(m, d, with_marker=True))
 
 
 def _count_rows(
     alpha: Sequence[int], g_filter: int | None, m: int, c: pt.QSeries | None = None
 ) -> List[dict]:
-    """Count rows of one profile; ``c`` is the connected series at its depth,
-    built here when not given."""
-    total = sum(alpha) - m
+    """Count rows of one profile with sum(alpha) - m even and >= 0; ``c`` is
+    the connected series at its depth, built here when not given."""
     rows = []
-    if total < 0 or total % 2:
-        return rows
-    d = total // 2
+    d = (sum(alpha) - m) // 2
     n_plus = len(alpha)
     if c is None:
         c = _connected_series(d, m)
@@ -193,11 +169,14 @@ def cmd_counts(args) -> int:
     alpha = tuple(int(a) for a in args.alpha.replace(",", " ").split())
     if not alpha or any(a < 1 for a in alpha):
         return _usage_error("alpha must be positive integers")
-    if args.m < 0:
-        return _usage_error("--m must be >= 0")
-    if args.g is not None and args.g < 0:
-        return _usage_error("--g must be >= 0")
-    _emit_rows(_count_rows(alpha, args.g, args.m), args.format, args.out)
+    profile = f"alpha = {alpha}, m = {args.m}"
+    # the positive perimeters sum to the edge count 2 v4 + m
+    if sum(alpha) < args.m or (sum(alpha) - args.m) % 2:
+        return _usage_error(f"no map has the profile {profile}: sum(alpha) - m is odd or negative")
+    rows = _count_rows(alpha, args.g, args.m)
+    if args.g is not None and not rows:
+        return _usage_error(f"no map has the profile {profile} at genus {args.g}")
+    _emit_rows(rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -288,6 +267,9 @@ def _suite_oracle(args) -> List[str]:
 
 
 def _suite_bivalent(args) -> List[str]:
+    # every (v4, v2) the flow below reaches: v4 <= 2, v2 <= 4, up to 16 darts
+    v4_max, v2_max = 2, 4
+    maps.check_darts(4 * v4_max + 2 * v2_max, args.n_budget)
     out = []
     res = ops.commutator_check(ops.w0(), ops.w1(), None, 0, args.deg_cap, args.var_cap)
     out.extend(f"[W0,W1] residual at {m.as_str()}" for m, _ in res)
@@ -296,13 +278,11 @@ def _suite_bivalent(args) -> List[str]:
     for k in set(b1.layers) | set(b2.layers):
         if b1.layers.get(k) != b2.layers.get(k):
             out.append(f"bivalent flow order disagrees at layer {k}")
-    # every (v4, v2) the flow below reaches: v4 <= 2, v2 <= 4, up to 16
-    # darts; a smaller --n-budget raises BudgetExceeded, as in the oracle suite
-    c = pt.connected(pt.partition_function_bivalent(4, 2, with_marker=True))
-    for v4, v2 in itertools.product(range(3), range(5)):
+    c = pt.connected(pt.partition_function_bivalent(v2_max, v4_max, with_marker=True))
+    for v4, v2 in itertools.product(range(v4_max + 1), range(v2_max + 1)):
         if v4 == v2 == 0:
             continue
-        tbl = maps._dessin_table(v4, v2, args.n_budget)
+        tbl = maps._dessin_table(v4, v2)
         for (g, n_minus, perims), _cnt in tbl.items():
             alpha = tuple(perims)
             key = pt.CountKey(g, len(alpha), n_minus, alpha, m=v2)
@@ -343,43 +323,33 @@ def _suite_norbury(args) -> List[str]:
     return out
 
 
+# in the order of verify --suites all
 SUITE_FNS = {
+    "cutjoin": _suite_cutjoin,
     "witt": _suite_witt,
     "virasoro": _suite_virasoro,
-    "cutjoin": _suite_cutjoin,
-    "opmatrix": _suite_opmatrix,
-    "adjoint": _suite_adjoint,
     "tutte": _suite_tutte,
     "oracle": _suite_oracle,
-    "bivalent": _suite_bivalent,
+    "opmatrix": _suite_opmatrix,
     "loop": _suite_loop,
     "bergman": _suite_bergman,
     "tr": _suite_tr,
     "norbury": _suite_norbury,
+    "adjoint": _suite_adjoint,
+    "bivalent": _suite_bivalent,
 }
 
 
 def cmd_verify(args) -> int:
-    if args.order < 0:
-        return _usage_error("--order must be >= 0")
-    if args.deg_cap < 0 or args.var_cap < 0:
-        return _usage_error("--deg-cap and --var-cap must be >= 0")
-    if args.n_budget < 0:
-        return _usage_error("--n-budget must be >= 0")
-    if args.dmax < 0 or args.s_max < 0:
-        return _usage_error("--dmax and --s-max must be >= 0")
-    _check_order(args.order)
-    if args.deg_cap > COMMUTATOR_DEG_BUDGET:
-        raise maps.BudgetExceeded(
-            f"--deg-cap {args.deg_cap} exceeds budget {COMMUTATOR_DEG_BUDGET}"
-        )
-    _check_flow_depth(max(args.dmax, args.s_max // 2))
-    names = SUITES if args.suites == ["all"] else args.suites
+    _check_budget("--order", args.order, ORDER_BUDGET)
+    _check_budget("--deg-cap", args.deg_cap, COMMUTATOR_DEG_BUDGET)
+    _check_budget("flow depth m + d", max(args.dmax, args.s_max // 2), FLOW_DEPTH_BUDGET)
+    names = list(SUITE_FNS) if args.suites == ["all"] else args.suites
     if not names:
-        return _usage_error(f"no suites given; known: {', '.join(SUITES)}")
+        return _usage_error(f"no suites given; known: {', '.join(SUITE_FNS)}")
     unknown = [s for s in names if s not in SUITE_FNS]
     if unknown:
-        return _usage_error(f"unknown suites {unknown}; known: {', '.join(SUITES)}")
+        return _usage_error(f"unknown suites {unknown}; known: {', '.join(SUITE_FNS)}")
     any_residual = False
     report = {}
     for name in names:
@@ -401,15 +371,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tr(args) -> int:
-    if args.order < 0:
-        return _usage_error("--order must be >= 0")
-    # an out-of-range (g, n) stays a usage error, raised by tr_omega
-    degree = 2 * args.g - 2 + args.n
-    if args.g >= 0 and args.n >= 1 and degree > TR_DEGREE_BUDGET:
-        raise maps.BudgetExceeded(
-            f"tr degree 2g - 2 + n = {degree} exceeds budget {TR_DEGREE_BUDGET}"
-        )
-    _check_order(args.order)
+    _check_budget("tr degree 2g - 2 + n", 2 * args.g - 2 + args.n, TR_DEGREE_BUDGET)
+    _check_budget("--order", args.order, ORDER_BUDGET)
     om = spectral.tr_omega(args.g, args.n)
     payload = om.to_json_dict()
     payload["expansion"] = {
@@ -430,19 +393,17 @@ def cmd_export(args) -> int:
         block = opmatrix.kernel_block(args.g, args.nplus, args.nminus, args.cap)
         _emit(_json_dumps(block.to_json_dict()), args.out)
     elif args.what == "maps":
-        if args.v4 < 0 or args.v2 < 0 or args.v4 == args.v2 == 0:
-            return _usage_error("--v4 and --v2 must be >= 0 and give at least one vertex")
-        if args.n_budget < 0:
-            return _usage_error("--n-budget must be >= 0")
+        if args.v4 == args.v2 == 0:
+            return _usage_error("--v4 and --v2 must give at least one vertex")
         valences = (4,) * args.v4 + (2,) * args.v2
         lines = list(maps.map_dump_lines(valences, budget=args.n_budget))
         _emit("\n".join(lines) + "\n", args.out)
     elif args.what == "counts":
-        if args.s_max < 0:
-            return _usage_error("--s-max must be >= 0")
-        if args.nplus < 0:
-            return _usage_error("--nplus must be >= 0")
-        _check_flow_depth(args.s_max // 2)
+        # a row needs a total 2d <= --s-max, d >= 1, with n+ <= d + 1 (genus 0, n- >= 1)
+        if args.s_max // 2 < max(args.nplus - 1, 1):
+            nplus = f" and {args.nplus} positive boundaries" if args.nplus else ""
+            return _usage_error(f"no map has a perimeter total <= --s-max {args.s_max}{nplus}")
+        _check_budget("flow depth m + d", args.s_max // 2, FLOW_DEPTH_BUDGET)
         rows = []
         for tot in range(2, args.s_max + 1, 2):
             c = _connected_series(tot // 2, 0)
@@ -451,16 +412,8 @@ def cmd_export(args) -> int:
                 for alpha in sorted_multi(tot, n_plus, 1):
                     rows.extend(_count_rows(alpha, None, 0, c))
         _emit_rows(rows, args.format, args.out)
-    elif args.what == "omega":
-        return cmd_tr(args)
     elif args.what == "correlator":
-        if args.cap < 0:
-            return _usage_error("--cap must be >= 0")
-        # an out-of-range (g, n) stays a usage error, raised by laplace_W
-        if args.g >= 0 and args.n >= 1 and args.cap > CORRELATOR_CAP_BUDGET:
-            raise maps.BudgetExceeded(
-                f"correlator --cap {args.cap} exceeds budget {CORRELATOR_CAP_BUDGET}"
-            )
+        _check_budget("correlator --cap", args.cap, CORRELATOR_CAP_BUDGET)
         w = spectral.laplace_W(args.g, args.n, args.cap)
         _emit(_json_dumps(w.to_json_dict()), args.out)
     return EXIT_OK
@@ -471,17 +424,30 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """argparse type of an integer option with lower bound ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dessins",
         description="Exact counts of directed ribbon graphs / dessins, four ways.",
     )
-    ap.add_argument("--threads", type=int, default=None, help="worker count (env DESSINS_THREADS)")
+    ap.add_argument("--threads", type=_at_least(1), default=1, help="brute-force worker count")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zfun", help="partition-function layers")
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--dmax0", type=int, default=2, help="q0 depth for --bivalent")
+    p.add_argument("--dmax", type=_at_least(0), default=3)
+    p.add_argument("--dmax0", type=_at_least(0), default=2, help="q0 depth for --bivalent")
     p.add_argument("--bivalent", action="store_true")
     p.add_argument("--marker", action="store_true", help="track negative boundaries with t-")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -489,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_zfun)
 
     p = sub.add_parser("counts", help="weighted dessin counts for a profile")
-    p.add_argument("--g", type=int, default=None)
+    p.add_argument("--g", type=_at_least(0), default=None)
     p.add_argument("--alpha", required=True, help="positive perimeters, e.g. '1 1 2'")
-    p.add_argument("--m", type=int, default=0, help="bivalent vertex count")
+    p.add_argument("--m", type=_at_least(0), default=0, help="bivalent vertex count")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_counts)
@@ -499,37 +465,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument(
         "--suites", default="all",
-        help=f"comma list from: {','.join(SUITES)},all; a suite named twice runs once",
+        help=f"comma list from: {','.join(SUITE_FNS)},all; a suite named twice runs once",
     )
-    p.add_argument("--deg-cap", dest="deg_cap", type=int, default=10)
-    p.add_argument("--var-cap", dest="var_cap", type=int, default=12)
-    p.add_argument("--dmax", type=int, default=4)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--s-max", dest="s_max", type=int, default=8)
-    p.add_argument("--n-budget", dest="n_budget", type=int, default=16)
+    p.add_argument("--deg-cap", dest="deg_cap", type=_at_least(0), default=10)
+    p.add_argument("--var-cap", dest="var_cap", type=_at_least(0), default=12)
+    p.add_argument("--dmax", type=_at_least(0), default=4)
+    p.add_argument("--order", type=_at_least(0), default=8)
+    p.add_argument("--s-max", dest="s_max", type=_at_least(0), default=8)
+    p.add_argument("--n-budget", dest="n_budget", type=_at_least(0), default=16)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("tr", help="topological-recursion differential")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--g", type=_at_least(0), required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--order", type=_at_least(0), default=8)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_tr)
 
     p = sub.add_parser("export", help="JSON/CSV dumps")
-    p.add_argument("--what", choices=["kernel", "maps", "counts", "omega", "correlator"],
-                   required=True)
-    p.add_argument("--g", type=int, default=0)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--nplus", type=int, default=0)
-    p.add_argument("--nminus", type=int, default=1)
-    p.add_argument("--cap", type=int, default=6)
-    p.add_argument("--v4", type=int, default=1)
-    p.add_argument("--v2", type=int, default=0)
-    p.add_argument("--s-max", dest="s_max", type=int, default=6)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--n-budget", dest="n_budget", type=int, default=16)
+    p.add_argument("--what", choices=["kernel", "maps", "counts", "correlator"], required=True)
+    p.add_argument("--g", type=_at_least(0), default=0)
+    p.add_argument("--n", type=_at_least(1), default=3)
+    p.add_argument("--nplus", type=_at_least(0), default=0)
+    p.add_argument("--nminus", type=_at_least(1), default=1)
+    p.add_argument("--cap", type=_at_least(0), default=6)
+    p.add_argument("--v4", type=_at_least(0), default=1)
+    p.add_argument("--v2", type=_at_least(0), default=0)
+    p.add_argument("--s-max", dest="s_max", type=_at_least(0), default=6)
+    p.add_argument("--n-budget", dest="n_budget", type=_at_least(0), default=16)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_export)
@@ -544,17 +508,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 after its usage message, 0 after --help
+        return exc.code
     if getattr(args, "suites", None) is not None and isinstance(args.suites, str):
         # each suite once, in first-seen order, so stdout agrees with --out
         args.suites = list(dict.fromkeys(s.strip() for s in args.suites.split(",") if s.strip()))
     try:
-        if args.threads is None:
-            env = os.environ.get("DESSINS_THREADS", "1")
-            try:
-                args.threads = int(env)
-            except ValueError:
-                raise ValueError(f"DESSINS_THREADS must be an integer, got {env!r}") from None
         maps.configure_threads(args.threads)
         return args.fn(args)
     except (OSError, ValueError) as exc:

@@ -61,6 +61,12 @@ class BudgetExceeded(Exception):
     """Raised when an enumeration would exceed the configured dart budget."""
 
 
+def check_darts(n: int, budget: int = DEFAULT_DART_BUDGET) -> None:
+    """Raise ``BudgetExceeded`` before a walk over ``n`` darts past ``budget``."""
+    if n > budget:
+        raise BudgetExceeded(f"{n} darts exceed budget {budget}")
+
+
 def canonical_s0(valences: Sequence[int]) -> Perm:
     """Representative of the cycle type: consecutive cycles 0..v1-1, ..."""
     n = sum(valences)
@@ -207,8 +213,7 @@ def directed_maps(
     sums over the results divided by the centralizer order of s0.
     """
     n = sum(valences)
-    if n > budget:
-        raise BudgetExceeded(f"{n} darts exceed budget {budget}")
+    check_darts(n, budget)
     if n == 0:
         return
     s0 = canonical_s0(valences)
@@ -300,20 +305,19 @@ def _scan_slice(valences: Tuple[int, ...], first_image: int) -> Dict[TableKey, i
 
 
 @lru_cache(maxsize=None)
-def _dessin_table(v4: int, v2: int, budget: int) -> Dict[TableKey, int]:
+def _dessin_table(v4: int, v2: int) -> Dict[TableKey, int]:
     """Connected directed-map counts keyed by (genus, n_minus, sorted
     positive perims).
 
     One slice per image of the first + dart (dart 0); the slice counts are
     summed and scaled by the 2^v sign patterns.  Independent of the worker
     count: the parallel path sums the same slice tables as the sequential one.
+    Callers check the dart budget first, so one table serves every budget.
     """
     valences = (4,) * v4 + (2,) * v2
     n = sum(valences)
     if n == 0:
         return {}
-    if n > budget:
-        raise BudgetExceeded(f"{n} darts exceed budget {budget}")
     jobs = [(valences, m) for m in range(1, n, 2)]
     if _SCAN_THREADS > 1 and n >= 10:
         import multiprocessing
@@ -350,9 +354,8 @@ def count_dessins(spec: EnumSpec, budget: int = DEFAULT_DART_BUDGET) -> Fraction
         return Fraction(0)
     if sum(spec.alpha) != 2 * spec.v4 + spec.v2 or len(spec.alpha) != spec.n_plus:
         return Fraction(0)
-    if spec.n_darts > budget:
-        raise BudgetExceeded(f"{spec.n_darts} darts exceed budget {budget}")
-    table = _dessin_table(spec.v4, spec.v2, budget)
+    check_darts(spec.n_darts, budget)
+    table = _dessin_table(spec.v4, spec.v2)
     perims = tuple(sorted(spec.alpha))
     total = 0
     for (g, n_minus, pp), cnt in table.items():

@@ -111,8 +111,7 @@ def _structures(d: int) -> Tuple[Tuple[tuple, int], ...]:
     edge borders the face of its even dart and the face of its odd dart."""
     valences = (4,) * d
     n = sum(valences)
-    if n > maps.DEFAULT_DART_BUDGET:
-        raise maps.BudgetExceeded(f"{n} darts exceed budget {maps.DEFAULT_DART_BUDGET}")
+    maps.check_darts(n)
     found: Dict[tuple, int] = {}
     for first_image in range(1, n, 2):
         for s1, faces in maps.sign_pattern_maps(valences, first_image):

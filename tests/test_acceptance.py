@@ -120,7 +120,7 @@ def test_criterion_03_oracle_equivalence():
             n_darts = 4 * v4 + 2 * v2
             if n_darts == 0 or n_darts > 16:
                 continue
-            table = maps._dessin_table(v4, v2, 16)
+            table = maps._dessin_table(v4, v2)
             for (g, n_minus, perims), _ in table.items():
                 key = pt.CountKey(g, len(perims), n_minus, perims, m=v2)
                 want = pt.count(cb, key)

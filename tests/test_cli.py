@@ -202,7 +202,6 @@ def test_export_correlator_json(tmp_path):
         ("counts", "--alpha", "2", "--nplus", "1"),
         ("tr", "--g", "0", "--n", "3", "--order", "-1"),
         ("tr", "--g", "-1", "--n", "5"),
-        ("export", "--what", "omega", "--g", "-1", "--n", "5"),
         ("verify", "--suites", "tr", "--order", "-1"),
         ("verify", "--suites", "loop", "--order", "-3"),
         ("verify", "--suites", "witt", "--deg-cap", "-3"),
@@ -217,11 +216,34 @@ def test_export_correlator_json(tmp_path):
         ("export", "--what", "maps", "--n-budget", "-1"),
         ("--threads", "0", "zfun", "--dmax", "1"),
         ("--threads", "-1", "zfun", "--dmax", "1"),
+        ("zfun", "--dmax0", "-5"),
+        ("export", "--what", "maps", "--cap", "-3"),
+        ("export", "--what", "kernel", "--g", "0", "--nplus", "1", "--nminus", "2", "--n", "-4"),
+        ("export", "--what", "omega"),
+        # no map has the profile: an odd total, a genus out of reach, more
+        # positive boundaries than a total of at most --s-max can carry
+        ("counts", "--alpha", "3"),
+        ("counts", "--alpha", "1 1", "--g", "5"),
+        ("export", "--what", "counts", "--s-max", "4", "--nplus", "9"),
+        ("export", "--what", "counts", "--s-max", "6", "--nplus", "5"),
     ],
     ids=" ".join,
 )
 def test_bad_input_exits_usage_with_message(argv):
-    _assert_usage_error(argv, {})
+    _assert_usage_error(argv)
+
+
+@pytest.mark.parametrize("argv", [("zfun", "--dmax", "-1"), ("zfun", "--nosuch")], ids=" ".join)
+def test_main_returns_usage_code_in_process(argv, capsys):
+    assert cli.main(list(argv)) == cli.EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_export_counts_at_the_largest_nplus_of_its_s_max():
+    # --s-max 6 carries n+ <= 4: alpha = (1, 1, 1, 3), (1, 1, 2, 2) at genus 0
+    code, out = run_cli("export", "--what", "counts", "--s-max", "6", "--nplus", "4")
+    assert code == 0
+    assert {(r["g"], r["n_plus"], r["n_minus"]) for r in json.loads(out)["rows"]} == {(0, 4, 1)}
 
 
 def test_kernel_over_budget_exits_budget_with_message():
@@ -268,9 +290,8 @@ def test_deg_cap_over_budget_exits_budget_with_message(argv):
     [
         ("verify", "--suites", "bivalent", "--n-budget", "8"),
         ("tr", "--g", "5", "--n", "1"),
-        ("export", "--what", "omega", "--g", "0", "--n", "7"),
+        ("tr", "--g", "0", "--n", "7"),
         ("tr", "--g", "0", "--n", "6", "--order", "13"),
-        ("export", "--what", "omega", "--g", "1", "--n", "1", "--order", "13"),
         ("verify", "--suites", "tr", "--order", "13"),
         ("export", "--what", "correlator", "--g", "4", "--n", "4", "--cap", "21"),
         ("export", "--what", "correlator", "--g", "4", "--n", "4", "--cap", "40"),
@@ -303,7 +324,7 @@ def test_correlator_at_a_huge_genus_exits_at_once():
     # no surface of genus 10^6 has perimeter 4, so the table is empty; the
     # timeout turns a walk over every lower genus into a failure
     argv = ("export", "--what", "correlator", "--g", "1000000", "--n", "1", "--cap", "4")
-    proc = _run_module(argv, {}, timeout=20)
+    proc = _run_module(argv, timeout=20)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"cap": 4, "coefficients": [], "g": 1000000, "n": 1}
 
@@ -329,12 +350,8 @@ def test_tutte_suite_checks_connected_series_through_sum_14(monkeypatch):
     assert cli._suite_tutte(args) == [f"{bumped}: tutte route != connected series"]
 
 
-def test_bad_threads_env_exits_usage_with_message():
-    _assert_usage_error(("zfun", "--dmax", "1"), {"DESSINS_THREADS": "x"})
-
-
-def _run_module(argv, extra_env, timeout=None):
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **extra_env}
+def _run_module(argv, timeout=None):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "dessins.cli", *argv], capture_output=True, text=True, env=env,
         timeout=timeout,
@@ -342,15 +359,15 @@ def _run_module(argv, extra_env, timeout=None):
 
 
 def _assert_budget_error(argv):
-    proc = _run_module(argv, {})
+    proc = _run_module(argv)
     assert proc.returncode == cli.EXIT_BUDGET
     assert "error: budget exceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
 
-def _assert_usage_error(argv, extra_env):
-    proc = _run_module(argv, extra_env)
+def _assert_usage_error(argv):
+    proc = _run_module(argv)
     assert proc.returncode == cli.EXIT_USAGE
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr

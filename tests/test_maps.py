@@ -26,6 +26,17 @@ def test_budget_error():
         maps.count_dessins(maps.EnumSpec(5, 0, 1, 5, (10,), g=0), budget=16)
 
 
+def test_one_table_walk_serves_every_budget():
+    spec = maps.EnumSpec(2, 0, 1, 3, (4,), g=0)
+    maps._dessin_table.cache_clear()
+    try:
+        counts = [maps.count_dessins(spec, budget=b) for b in (16, 20)]
+        assert maps._dessin_table.cache_info().misses == 1
+    finally:
+        maps._dessin_table.cache_clear()
+    assert counts[0] == counts[1] > 0
+
+
 def test_direction_constraints_and_biparticity():
     directions = {}
     for dm in maps.directed_maps((4, 4)):
@@ -227,11 +238,11 @@ def test_dump_format_golden():
 
 def test_parallel_scan_matches_sequential():
     maps._dessin_table.cache_clear()
-    seq = maps._dessin_table(2, 1, 16)
+    seq = maps._dessin_table(2, 1)
     maps._dessin_table.cache_clear()
     maps.configure_threads(2)
     try:
-        par = maps._dessin_table(2, 1, 16)
+        par = maps._dessin_table(2, 1)
     finally:
         maps.configure_threads(1)
         maps._dessin_table.cache_clear()
@@ -253,4 +264,4 @@ def test_sign_pattern_table_matches_all_involutions():
     for v4, v2 in pairs:
         want = _reference_table((4,) * v4 + (2,) * v2)
         assert want
-        assert maps._dessin_table(v4, v2, 12) == want, (v4, v2)
+        assert maps._dessin_table(v4, v2) == want, (v4, v2)
