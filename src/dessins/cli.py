@@ -269,7 +269,6 @@ def _suite_oracle(args) -> List[str]:
 def _suite_bivalent(args) -> List[str]:
     # every (v4, v2) the flow below reaches: v4 <= 2, v2 <= 4, up to 16 darts
     v4_max, v2_max = 2, 4
-    maps.check_darts(4 * v4_max + 2 * v2_max, args.n_budget)
     out = []
     res = ops.commutator_check(ops.w0(), ops.w1(), None, 0, args.deg_cap, args.var_cap)
     out.extend(f"[W0,W1] residual at {m.as_str()}" for m, _ in res)
@@ -323,6 +322,12 @@ def _suite_norbury(args) -> List[str]:
     return out
 
 
+# darts of the largest map walk of each suite with a fixed window: the
+# bivalent tables to (v4, v2) = (2, 4), the Norbury cells of (0,4) and (1,2)
+# (6 edges) and the d = 4 kernel structures of the matrix suites; the oracle
+# walks 4 darts per vertex of its top keys, 4 (--s-max // 2)
+SUITE_DARTS = {"cutjoin": 16, "opmatrix": 16, "norbury": 12, "adjoint": 16, "bivalent": 16}
+
 # in the order of verify --suites all
 SUITE_FNS = {
     "cutjoin": _suite_cutjoin,
@@ -350,6 +355,9 @@ def cmd_verify(args) -> int:
     unknown = [s for s in names if s not in SUITE_FNS]
     if unknown:
         return _usage_error(f"unknown suites {unknown}; known: {', '.join(SUITE_FNS)}")
+    darts = dict(SUITE_DARTS, oracle=4 * (args.s_max // 2))
+    for name in names:
+        maps.check_darts(darts.get(name, 0), args.n_budget)
     any_residual = False
     report = {}
     for name in names:

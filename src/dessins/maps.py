@@ -9,7 +9,9 @@ to the global flip.
 
 Every walk here is a walk over connected maps: all of them share one step,
 ``_connected_maps``, which keeps the s1 for which <s0, s1> is transitive and
-reads off the faces.  A connected map with Euler characteristic chi has
+reads off the faces.  Transitivity is tested on the vertex graph, not on the
+darts: its vertices are the s0 cycles and each dart d joins the cycle of d
+to the cycle of s1[d].  A connected map with Euler characteristic chi has
 genus (2 - chi)/2.
 
 Counting convention: automorphism-weighted counts sum 1/#Aut over
@@ -127,25 +129,6 @@ def orbits(perm: Perm) -> List[Tuple[int, ...]]:
     return out
 
 
-def components(s0: Perm, s1: Perm) -> List[int]:
-    """Union-find component index per dart under <s0, s1>."""
-    n = len(s0)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for d in range(n):
-        for e in (s0[d], s1[d]):
-            pa, pb = find(d), find(e)
-            if pa != pb:
-                parent[pa] = pb
-    return [find(d) for d in range(n)]
-
-
 def direction_coloring(s0: Perm, s1: Perm) -> Optional[List[int]]:
     """A sign map with eps(s0 d) = eps(s1 d) = -eps(d), or None.
 
@@ -177,9 +160,27 @@ def face_orbits(s0: Perm, s1: Perm) -> List[Tuple[int, ...]]:
 def _connected_maps(
     s0: Perm, involutions: Iterable[Sequence[int]]
 ) -> Iterator[Tuple[Sequence[int], List[Tuple[int, ...]]]]:
-    """(s1, faces) for each s1 of ``involutions`` with <s0, s1> transitive."""
+    """(s1, faces) for each s1 of ``involutions`` with <s0, s1> transitive.
+
+    The vertices reached from the s0 cycle of dart 0 grow, one bit per
+    cycle, until nothing new is added; s1 is kept when they are all reached.
+    """
+    cycles = orbits(s0)
+    bit = [0] * len(s0)
+    for i, cyc in enumerate(cycles):
+        for d in cyc:
+            bit[d] = 1 << i
+    every = (1 << len(cycles)) - 1
+    vertices = [(1 << i, cyc) for i, cyc in enumerate(cycles)]
     for s1 in involutions:
-        if len(set(components(s0, s1))) == 1:
+        reached, grown = 1, 0
+        while grown != reached:
+            grown = reached
+            for b, cyc in vertices:
+                if b & reached:
+                    for d in cyc:
+                        reached |= bit[s1[d]]
+        if reached == every:
             yield s1, face_orbits(s0, s1)
 
 

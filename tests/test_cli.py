@@ -305,6 +305,14 @@ def test_scan_and_tr_over_budget_exit_budget_with_message(argv):
     _assert_budget_error(argv)
 
 
+@pytest.mark.parametrize(
+    "suite", ["oracle", "bivalent", "norbury", "cutjoin", "opmatrix", "adjoint", "all"]
+)
+def test_verify_map_walk_over_n_budget_exits_before_any_suite(suite):
+    # the largest walks: 12 darts for the Norbury cells, 16 for the others
+    _assert_budget_error(("verify", "--suites", suite, "--n-budget", "4"))
+
+
 def test_tr_at_degree_budget_runs():
     code, out = run_cli("tr", "--g", "2", "--n", "2", "--order", "2")
     assert code == 0 and json.loads(out)["g"] == 2

@@ -5,6 +5,7 @@ import pytest
 
 from dessins import maps, opmatrix
 from lattice_reference import lattice_points
+from map_reference import components
 
 
 def test_count_dessins_spec_examples():
@@ -41,7 +42,7 @@ def test_direction_constraints_and_biparticity():
     directions = {}
     for dm in maps.directed_maps((4, 4)):
         n = len(dm.s0)
-        assert len(set(maps.components(dm.s0, dm.s1))) == 1
+        assert len(set(components(dm.s0, dm.s1))) == 1
         directions.setdefault(dm.s1, []).append(dm.eps)
         for d in range(n):
             assert dm.eps[dm.s0[d]] == -dm.eps[d]
@@ -58,6 +59,20 @@ def test_direction_constraints_and_biparticity():
     for eps_list in directions.values():
         assert len(eps_list) == 2
         assert eps_list[1] == tuple(-e for e in eps_list[0])
+
+
+@pytest.mark.parametrize(
+    "valences", [(4, 4), (4, 2, 2), (2, 2, 2, 2), (3, 3, 3, 3), (3, 3, 2, 2, 2)], ids=str
+)
+def test_connected_maps_keep_exactly_the_connected_involutions(valences):
+    s0 = maps.canonical_s0(valences)
+    every = list(maps.fpf_involutions(len(s0)))
+    want = [s1 for s1 in every if len(set(components(s0, s1))) == 1]
+    got = list(maps._connected_maps(s0, every))
+    assert [s1 for s1, _ in got] == want
+    assert all(faces == maps.face_orbits(s0, s1) for s1, faces in got)
+    # some involutions leave a vertex unreached, and they are dropped
+    assert len(want) < len(every)
 
 
 def _centralizer_elements(valences):
