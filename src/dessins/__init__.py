@@ -37,7 +37,6 @@ from .partition import (
 )
 from .tutte import catalan, r_tilde, r_tilde_nc
 from .maps import (
-    BudgetExceeded,
     DirectedMap,
     EnumSpec,
     count_dessins,

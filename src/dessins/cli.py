@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 from functools import lru_cache
 from math import prod
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 from . import maps, opmatrix, partition as pt, spectral, tutte
 from . import operators as ops
@@ -35,6 +34,12 @@ EXIT_OK = 0
 EXIT_RESIDUAL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# largest dart count N of a brute-force map walk, the default of --n-budget
+# on verify and export; export --what maps --v4 4 walks all 15!! ~ 2.0e6 edge
+# pairings of 16 darts in about a minute on a 2-core VM, and each 2 more darts
+# multiply that by N + 1
+DART_BUDGET = 16
 
 # deepest flow a zfun, counts or export-counts request may run, in q-order
 # m + d of its top layer; every flow of depth 10 takes at most about 2 s on a
@@ -62,12 +67,15 @@ ORDER_BUDGET = 12
 CORRELATOR_CAP_BUDGET = 20
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(text: str | Iterable[str], out_path: str | None):
+    """Write ``text``, or its pieces one at a time as they come, to
+    ``out_path`` or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _json_dumps(obj) -> str:
@@ -79,10 +87,14 @@ def _usage_error(msg: str) -> int:
     return EXIT_USAGE
 
 
+class BudgetExceeded(Exception):
+    """A request asks for more than a budget; ``main`` exits 3."""
+
+
 def _check_budget(what: str, value: int, budget: int):
     """Exit 3, through ``main``, when a request asks for more than a budget."""
     if value > budget:
-        raise maps.BudgetExceeded(f"{what} is {value}, over the budget of {budget}")
+        raise BudgetExceeded(f"{what} is {value}, over the budget of {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +252,20 @@ def _suite_tutte(args) -> List[str]:
     return out
 
 
-def _oracle_keys(s_max: int):
-    for d in range(1, s_max // 2 + 1):
+def _oracle_keys(s_max: int, m: int = 0):
+    """Every stable key with ``m`` bivalent vertices and at most s_max // 2
+    quadrivalent ones; the quadrivalent count is the Euler degree."""
+    for d in range(s_max // 2 + 1):
         for g, n_plus, n_minus in opmatrix.stable_types(d):
-            for alpha in sorted_multi(2 * d, n_plus, 1):
-                yield pt.CountKey(g, n_plus, n_minus, alpha)
+            for alpha in sorted_multi(2 * d + m, n_plus, 1):
+                yield pt.CountKey(g, n_plus, n_minus, alpha, m)
+
+
+def _enumerated(key: pt.CountKey):
+    """The brute-force count of ``key``."""
+    return maps.count_dessins(
+        maps.EnumSpec(key.euler_degree, key.m, key.n_plus, key.n_minus, key.alpha, g=key.g)
+    )
 
 
 def _suite_oracle(args) -> List[str]:
@@ -257,8 +278,7 @@ def _suite_oracle(args) -> List[str]:
     c = pt.connected(pt.partition_function(d_max, with_marker=True))
     for key in _oracle_keys(s_max):
         want = pt.count(c, key)
-        spec = maps.EnumSpec(key.euler_degree, 0, key.n_plus, key.n_minus, key.alpha, g=key.g)
-        got = maps.count_dessins(spec, budget=args.n_budget)
+        got = _enumerated(key)
         if got != want:
             out.append(f"{key}: enumeration {got} != partition {want}")
         if tutte.r_tilde(key.g, key.n_plus, key.alpha) != prod(key.alpha) * want:
@@ -267,7 +287,8 @@ def _suite_oracle(args) -> List[str]:
 
 
 def _suite_bivalent(args) -> List[str]:
-    # every (v4, v2) the flow below reaches: v4 <= 2, v2 <= 4, up to 16 darts
+    # every stable key the flow below reaches, v4 <= 2 and m = v2 <= 4 (57
+    # keys, up to 16 darts), so a key the map walk misses is a finding too
     v4_max, v2_max = 2, 4
     out = []
     res = ops.commutator_check(ops.w0(), ops.w1(), None, 0, args.deg_cap, args.var_cap)
@@ -278,17 +299,10 @@ def _suite_bivalent(args) -> List[str]:
         if b1.layers.get(k) != b2.layers.get(k):
             out.append(f"bivalent flow order disagrees at layer {k}")
     c = pt.connected(pt.partition_function_bivalent(v2_max, v4_max, with_marker=True))
-    for v4, v2 in itertools.product(range(v4_max + 1), range(v2_max + 1)):
-        if v4 == v2 == 0:
-            continue
-        tbl = maps._dessin_table(v4, v2)
-        for (g, n_minus, perims), _cnt in tbl.items():
-            alpha = tuple(perims)
-            key = pt.CountKey(g, len(alpha), n_minus, alpha, m=v2)
+    for v2 in range(v2_max + 1):
+        for key in _oracle_keys(2 * v4_max, v2):
             want = pt.count(c, key)
-            got = maps.count_dessins(
-                maps.EnumSpec(v4, v2, len(alpha), n_minus, alpha, g=g), budget=args.n_budget
-            )
+            got = _enumerated(key)
             if want != got:
                 out.append(f"bivalent {key}: enumeration {got} != partition {want}")
     return out
@@ -357,7 +371,7 @@ def cmd_verify(args) -> int:
         return _usage_error(f"unknown suites {unknown}; known: {', '.join(SUITE_FNS)}")
     darts = dict(SUITE_DARTS, oracle=4 * (args.s_max // 2))
     for name in names:
-        maps.check_darts(darts.get(name, 0), args.n_budget)
+        _check_budget(f"the map walk of the {name} suite", darts.get(name, 0), args.n_budget)
     any_residual = False
     report = {}
     for name in names:
@@ -398,14 +412,16 @@ def cmd_tr(args) -> int:
 
 def cmd_export(args) -> int:
     if args.what == "kernel":
+        _check_budget("the kernel map walk 4(2g - 2 + n+ + n-)",
+                      4 * opmatrix.euler_degree(args.g, args.nplus, args.nminus), args.n_budget)
         block = opmatrix.kernel_block(args.g, args.nplus, args.nminus, args.cap)
         _emit(_json_dumps(block.to_json_dict()), args.out)
     elif args.what == "maps":
         if args.v4 == args.v2 == 0:
             return _usage_error("--v4 and --v2 must give at least one vertex")
+        _check_budget("the map walk 4 v4 + 2 v2", 4 * args.v4 + 2 * args.v2, args.n_budget)
         valences = (4,) * args.v4 + (2,) * args.v2
-        lines = list(maps.map_dump_lines(valences, budget=args.n_budget))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit((line + "\n" for line in maps.map_dump_lines(valences)), args.out)
     elif args.what == "counts":
         # a row needs a total 2d <= --s-max, d >= 1, with n+ <= d + 1 (genus 0, n- >= 1)
         if args.s_max // 2 < max(args.nplus - 1, 1):
@@ -480,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=_at_least(0), default=4)
     p.add_argument("--order", type=_at_least(0), default=8)
     p.add_argument("--s-max", dest="s_max", type=_at_least(0), default=8)
-    p.add_argument("--n-budget", dest="n_budget", type=_at_least(0), default=16)
+    p.add_argument("--n-budget", dest="n_budget", type=_at_least(0), default=DART_BUDGET)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
@@ -501,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v4", type=_at_least(0), default=1)
     p.add_argument("--v2", type=_at_least(0), default=0)
     p.add_argument("--s-max", dest="s_max", type=_at_least(0), default=6)
-    p.add_argument("--n-budget", dest="n_budget", type=_at_least(0), default=16)
+    p.add_argument("--n-budget", dest="n_budget", type=_at_least(0), default=DART_BUDGET)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_export)
@@ -528,7 +544,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
-    except maps.BudgetExceeded as exc:
+    except BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

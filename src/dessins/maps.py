@@ -56,18 +56,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Perm = Tuple[int, ...]
 
-DEFAULT_DART_BUDGET = 16
-
-
-class BudgetExceeded(Exception):
-    """Raised when an enumeration would exceed the configured dart budget."""
-
-
-def check_darts(n: int, budget: int = DEFAULT_DART_BUDGET) -> None:
-    """Raise ``BudgetExceeded`` before a walk over ``n`` darts past ``budget``."""
-    if n > budget:
-        raise BudgetExceeded(f"{n} darts exceed budget {budget}")
-
 
 def canonical_s0(valences: Sequence[int]) -> Perm:
     """Representative of the cycle type: consecutive cycles 0..v1-1, ..."""
@@ -204,9 +192,7 @@ class DirectedMap:
         return sum(1 for s in self.face_sign if s < 0)
 
 
-def directed_maps(
-    valences: Sequence[int], budget: int = DEFAULT_DART_BUDGET
-) -> Iterator[DirectedMap]:
+def directed_maps(valences: Sequence[int]) -> Iterator[DirectedMap]:
     """All connected directed maps with the given vertex valences, s0 canonical.
 
     Each consistent underlying map is emitted once per direction, its
@@ -214,7 +200,6 @@ def directed_maps(
     sums over the results divided by the centralizer order of s0.
     """
     n = sum(valences)
-    check_darts(n, budget)
     if n == 0:
         return
     s0 = canonical_s0(valences)
@@ -243,10 +228,6 @@ class EnumSpec:
     n_minus: int
     alpha: Tuple[int, ...]
     g: Optional[int] = None
-
-    @property
-    def n_darts(self) -> int:
-        return 4 * self.v4 + 2 * self.v2
 
 
 # worker count for the parallel slice scan; set via configure_threads()
@@ -313,7 +294,6 @@ def _dessin_table(v4: int, v2: int) -> Dict[TableKey, int]:
     One slice per image of the first + dart (dart 0); the slice counts are
     summed and scaled by the 2^v sign patterns.  Independent of the worker
     count: the parallel path sums the same slice tables as the sequential one.
-    Callers check the dart budget first, so one table serves every budget.
     """
     valences = (4,) * v4 + (2,) * v2
     n = sum(valences)
@@ -345,7 +325,7 @@ def _mu_factorial(alpha: Sequence[int]) -> int:
     return out
 
 
-def count_dessins(spec: EnumSpec, budget: int = DEFAULT_DART_BUDGET) -> Fraction:
+def count_dessins(spec: EnumSpec) -> Fraction:
     """Sum of 1/#Aut over iso classes matching ``spec``.
 
     Positive boundaries are labeled with perimeters ``alpha``; negative
@@ -355,7 +335,6 @@ def count_dessins(spec: EnumSpec, budget: int = DEFAULT_DART_BUDGET) -> Fraction
         return Fraction(0)
     if sum(spec.alpha) != 2 * spec.v4 + spec.v2 or len(spec.alpha) != spec.n_plus:
         return Fraction(0)
-    check_darts(spec.n_darts, budget)
     table = _dessin_table(spec.v4, spec.v2)
     perims = tuple(sorted(spec.alpha))
     total = 0
@@ -497,10 +476,10 @@ def _cycles_str(perm: Perm) -> str:
     ) or "()"
 
 
-def map_dump_lines(valences: Sequence[int], budget: int = DEFAULT_DART_BUDGET) -> Iterator[str]:
+def map_dump_lines(valences: Sequence[int]) -> Iterator[str]:
     """Line-oriented dump of the connected directed maps: dart count, s0
     cycles, s1 pairs, genus, signed faces."""
-    for dm in directed_maps(valences, budget=budget):
+    for dm in directed_maps(valences):
         faces = " ".join(
             ("+" if s > 0 else "-") + "(" + " ".join(str(d) for d in f) + ")"
             for f, s in zip(dm.faces, dm.face_sign)

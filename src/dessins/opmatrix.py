@@ -111,7 +111,6 @@ def _structures(d: int) -> Tuple[Tuple[tuple, int], ...]:
     edge borders the face of its even dart and the face of its odd dart."""
     valences = (4,) * d
     n = sum(valences)
-    maps.check_darts(n)
     found: Dict[tuple, int] = {}
     for first_image in range(1, n, 2):
         for s1, faces in maps.sign_pattern_maps(valences, first_image):

@@ -247,10 +247,19 @@ def test_export_counts_at_the_largest_nplus_of_its_s_max():
 
 
 def test_kernel_over_budget_exits_budget_with_message():
-    # (0,4,3) needs 20 darts, over the fixed 16-dart budget
+    # (0,4,3) needs 20 darts, over the default --n-budget of cli.DART_BUDGET = 16
     _assert_budget_error(
         ("export", "--what", "kernel", "--g", "0", "--nplus", "4", "--nminus", "3", "--cap", "10")
     )
+
+
+KERNEL_0_2_2 = ("export", "--what", "kernel", "--g", "0", "--nplus", "2", "--nminus", "2")
+
+
+def test_kernel_walk_within_its_n_budget_matches_the_default():
+    code, out = run_cli(*KERNEL_0_2_2)
+    assert code == 0 and json.loads(out)["entries"]
+    assert run_cli(*KERNEL_0_2_2, "--n-budget", "8") == (code, out)
 
 
 @pytest.mark.parametrize(
@@ -289,6 +298,8 @@ def test_deg_cap_over_budget_exits_budget_with_message(argv):
     "argv",
     [
         ("verify", "--suites", "bivalent", "--n-budget", "8"),
+        KERNEL_0_2_2 + ("--n-budget", "4"),
+        ("export", "--what", "maps", "--v4", "4", "--v2", "1"),
         ("tr", "--g", "5", "--n", "1"),
         ("tr", "--g", "0", "--n", "7"),
         ("tr", "--g", "0", "--n", "6", "--order", "13"),
@@ -299,7 +310,8 @@ def test_deg_cap_over_budget_exits_budget_with_message(argv):
     ids=" ".join,
 )
 def test_scan_and_tr_over_budget_exit_budget_with_message(argv):
-    # the bivalent brute force needs up to 16 darts; tr is one past
+    # the bivalent brute force needs up to 16 darts, the (0,2,2) kernel 8, the
+    # map dump 18 over the default 16; tr is one past
     # cli.TR_DEGREE_BUDGET = 4 in 2g - 2 + n, or one past cli.ORDER_BUDGET = 12;
     # a correlator is past cli.CORRELATOR_CAP_BUDGET = 20
     _assert_budget_error(argv)
@@ -309,8 +321,24 @@ def test_scan_and_tr_over_budget_exit_budget_with_message(argv):
     "suite", ["oracle", "bivalent", "norbury", "cutjoin", "opmatrix", "adjoint", "all"]
 )
 def test_verify_map_walk_over_n_budget_exits_before_any_suite(suite):
-    # the largest walks: 12 darts for the Norbury cells, 16 for the others
-    _assert_budget_error(("verify", "--suites", suite, "--n-budget", "4"))
+    # the largest walks: 12 darts for the Norbury cells, 16 for the others;
+    # the message names the suite, for all the first one in run order
+    stderr = _assert_budget_error(("verify", "--suites", suite, "--n-budget", "4"))
+    assert f" {'cutjoin' if suite == 'all' else suite} suite " in stderr
+
+
+def test_bivalent_suite_finds_a_key_the_map_walk_lost(monkeypatch):
+    args = cli.build_parser().parse_args(["verify", "--suites", "bivalent"])
+    real_table = maps._dessin_table
+    lost = next(iter(real_table(1, 2)))
+
+    def table_without_one_key(v4, v2):
+        table = real_table(v4, v2)
+        return {k: c for k, c in table.items() if (v4, v2, k) != (1, 2, lost)}
+
+    monkeypatch.setattr(maps, "_dessin_table", table_without_one_key)
+    findings = cli._suite_bivalent(args)
+    assert len(findings) == 1 and "enumeration 0 != partition" in findings[0]
 
 
 def test_tr_at_degree_budget_runs():
@@ -372,6 +400,7 @@ def _assert_budget_error(argv):
     assert "error: budget exceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    return proc.stderr
 
 
 def _assert_usage_error(argv):

@@ -22,22 +22,6 @@ def test_count_invariant_under_alpha_reordering():
     assert a == b == Fraction(1, 2)
 
 
-def test_budget_error():
-    with pytest.raises(maps.BudgetExceeded):
-        maps.count_dessins(maps.EnumSpec(5, 0, 1, 5, (10,), g=0), budget=16)
-
-
-def test_one_table_walk_serves_every_budget():
-    spec = maps.EnumSpec(2, 0, 1, 3, (4,), g=0)
-    maps._dessin_table.cache_clear()
-    try:
-        counts = [maps.count_dessins(spec, budget=b) for b in (16, 20)]
-        assert maps._dessin_table.cache_info().misses == 1
-    finally:
-        maps._dessin_table.cache_clear()
-    assert counts[0] == counts[1] > 0
-
-
 def test_direction_constraints_and_biparticity():
     directions = {}
     for dm in maps.directed_maps((4, 4)):
