@@ -42,8 +42,9 @@ EXIT_BUDGET = 3
 DART_BUDGET = 16
 
 # deepest flow a zfun, counts or export-counts request may run, in q-order
-# m + d of its top layer; every flow of depth 10 takes at most about 2 s on a
-# 2-core 2.1 GHz VM, and each step deeper roughly doubles the time
+# m + d of its top layer; at depth 10 a cold `counts --alpha "10 10"` takes
+# 0.6-1.0 s and a cold `zfun --dmax 10 --marker` 0.6-0.9 s on a 2-core
+# 2.1 GHz VM (Python 3.11), and each step deeper roughly doubles the time
 FLOW_DEPTH_BUDGET = 10
 
 # largest --deg-cap a verify request may give the commutator suites (witt,

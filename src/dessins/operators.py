@@ -52,7 +52,7 @@ from functools import cache
 from math import comb, lcm, perm
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from .series import MONO_ONE, Monomial, Poly
+from .series import MONO_ONE, Exps, Monomial, Poly, _merged
 
 # a derivative pattern prod d_i^e as sorted (i, e) pairs
 Ders = Tuple[Tuple[int, int], ...]
@@ -134,7 +134,7 @@ class DiffOp:
         hit = self._images.get(i)
         if hit is None:
             acc: Dict[Monomial, int] = {}
-            _image_into(acc, self, _MONOS[i], 1)
+            _image_into(acc, {}, self, _MONOS[i], 1)
             items = [(k, v) for k, v in acc.items() if v]
             ids = tuple(_mono_id(k) for k, _ in items)
             hit = self._images[i] = (ids, tuple(v for _, v in items))
@@ -197,9 +197,13 @@ def _derive(m: Monomial, ders: Ders, weight: int) -> Tuple[int, Monomial]:
     return fc, Monomial._raw(tuple(exps.items()), m.degree - weight)
 
 
-def _image_into(acc: Dict[Monomial, int], op: DiffOp, m: Monomial, c: int) -> None:
+def _image_into(
+    acc: Dict[Monomial, int], made: Dict[Exps, Monomial], op: DiffOp, m: Monomial, c: int
+) -> None:
     """Add ``c`` times the image of ``m`` under ``op`` to ``acc``, as
-    numerators over ``op.den``."""
+    numerators over ``op.den``.  ``made`` holds the monomial of each
+    exponent tuple built so far in this call of the kernel, so that each
+    distinct product monomial is built once."""
     groups = op._groups
     for ders, _ in _patterns(m, op.order):
         group = groups.get(ders)
@@ -213,8 +217,12 @@ def _image_into(acc: Dict[Monomial, int], op: DiffOp, m: Monomial, c: int) -> No
             cm = c * fc
         else:
             dm, cm = m, c
+        de, dd = dm.exps, dm.degree
         for coeff, mono in entries:
-            nm = dm.mul(mono)
+            exps = _merged(de, mono.exps)
+            nm = made.get(exps)
+            if nm is None:
+                nm = made[exps] = Monomial._raw(exps, dd + mono.degree)
             acc[nm] = acc.get(nm, 0) + cm * coeff
 
 
@@ -228,8 +236,9 @@ def _apply_divided(op: DiffOp, p: Poly, div: int) -> Poly:
     in the one denominator every output coefficient is built over."""
     nums, den = p.lifted()
     acc: Dict[Monomial, int] = {}
+    made: Dict[Exps, Monomial] = {}
     for m, c in nums.items():
-        _image_into(acc, op, m, c)
+        _image_into(acc, made, op, m, c)
     return Poly.from_numerators(acc, den * op.den * div)
 
 

@@ -1,11 +1,18 @@
 r"""Exact sparse polynomial and rational-function arithmetic.
 
 All coefficients are ``fractions.Fraction``; there is no floating-point mode
-anywhere in the package.  The product kernels (``Poly.__mul__`` here and
-``operators.apply``) lift each operand to integer numerators over one common
+anywhere in the package.  The product kernels (``accumulate_product`` here,
+behind ``Poly.__mul__`` and ``partition.connected``, and
+``operators._image_into``, behind ``operators.apply`` and the operator
+images) lift each operand to integer numerators over one common
 denominator, accumulate ``int``s in their inner loops and build one
-``Fraction`` per output monomial; stored values stay ``Fraction``.  Two
-kinds of values live here:
+``Fraction`` per output monomial; stored values stay ``Fraction``.  A
+product monomial's exponent tuple is one merge of its factors' sorted
+tuples (``_merged``), never a sort.  Each kernel call keeps the monomial of
+every exponent tuple it has built, so each distinct product is built once
+per call and the accumulator finds it by identity; the table lives only for
+that call, so no process-wide table of monomials grows.  Two kinds of
+values live here:
 
 * ``Monomial`` / ``Poly`` -- exact sparse multivariate polynomials in
   variables ``t1, t2, ...`` (variable ``i`` carries *weighted degree* ``i``),
@@ -32,6 +39,10 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 Key = Union[int, str]  # int i >= 0 -> variable t_i ; str -> marker variable
 
+# an exponent vector as sorted (key, positive exponent) pairs: integer
+# variables ascending, then markers ascending
+Exps = Tuple[Tuple[Key, int], ...]
+
 # marker for the number of negative boundary components (modified vacuum)
 MARKER_NEG = "t-"
 
@@ -46,6 +57,43 @@ def _key_sort(k: Key):
 
 def _item_sort(item: Tuple[Key, int]):
     return _key_sort(item[0])
+
+
+def _merged(a: Exps, b: Exps) -> Exps:
+    """The exponent tuple of the product of two monomials, by one merge of
+    their sorted exponent tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    ka, ea = a[0]
+    kb, eb = b[0]
+    while True:
+        if ka == kb:
+            out.append((ka, ea + eb))
+            i += 1
+            j += 1
+            if i == na or j == nb:
+                break
+            ka, ea = a[i]
+            kb, eb = b[j]
+        # an integer variable sorts before every marker
+        elif ka < kb if type(ka) is type(kb) else type(ka) is int:
+            out.append(a[i])
+            i += 1
+            if i == na:
+                break
+            ka, ea = a[i]
+        else:
+            out.append(b[j])
+            j += 1
+            if j == nb:
+                break
+            kb, eb = b[j]
+    return (*out, *a[i:], *b[j:])
 
 
 class Monomial:
@@ -68,7 +116,7 @@ class Monomial:
         self._set(clean, sum(k * e for k, e in clean if isinstance(k, int)))
 
     @classmethod
-    def _raw(cls, exps: Tuple[Tuple[Key, int], ...], degree: int) -> "Monomial":
+    def _raw(cls, exps: Exps, degree: int) -> "Monomial":
         """Trusted constructor: ``exps`` is already sorted, with positive
         exponents and valid keys, and ``degree`` is its weighted degree."""
         m = object.__new__(cls)
@@ -104,20 +152,7 @@ class Monomial:
         return tuple(sorted(parts))
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if not other.exps:
-            return self
-        if not self.exps:
-            return other
-        d = dict(self.exps)
-        same_keys = True  # then d keeps the sorted order of self.exps
-        for k, e in other.exps:
-            if k in d:
-                d[k] += e
-            else:
-                d[k] = e
-                same_keys = False
-        exps = tuple(d.items()) if same_keys else tuple(sorted(d.items(), key=_item_sort))
-        return Monomial._raw(exps, self.degree + other.degree)
+        return Monomial._raw(_merged(self.exps, other.exps), self.degree + other.degree)
 
     def __repr__(self):
         return f"Monomial({self.as_str()})"
@@ -278,11 +313,17 @@ class Poly:
 def accumulate_product(
     acc: Dict[Monomial, int], a: Mapping[Monomial, int], b: Mapping[Monomial, int], factor: int
 ) -> None:
-    """Add ``factor * a * b`` to ``acc``, all integer numerators."""
+    """Add ``factor * a * b`` to ``acc``, all integer numerators.  Each
+    distinct product monomial is built once, or taken from ``acc``."""
+    made = {m.exps: m for m in acc}
     for m1, n1 in a.items():
         f1 = factor * n1
+        e1, d1 = m1.exps, m1.degree
         for m2, n2 in b.items():
-            m = m1.mul(m2)
+            exps = _merged(e1, m2.exps)
+            m = made.get(exps)
+            if m is None:
+                m = made[exps] = Monomial._raw(exps, d1 + m2.degree)
             acc[m] = acc.get(m, 0) + f1 * n2
 
 

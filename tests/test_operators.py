@@ -416,7 +416,7 @@ def _reference_apply(op, p):
                         fc *= have - k
                     exps[i] = have - e
                 else:
-                    nm = Monomial(exps).mul(mono)
+                    nm = Monomial(Counter(exps) + Counter(dict(mono.exps)))
                     out[nm] = out.get(nm, Fraction(0)) + c * fc * coeff
     return Poly(out)
 

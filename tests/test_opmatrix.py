@@ -134,7 +134,8 @@ def _eager_assembled(d, cap):
             for (mono, ders), c in prod.items():
                 for t in layers[j]:
                     both = Counter(dict(ders)) + Counter(dict(t.ders))
-                    key = (mono.mul(t.mono), tuple(sorted(both.items())))
+                    m = Monomial(Counter(dict(mono.exps)) + Counter(dict(t.mono.exps)))
+                    key = (m, tuple(sorted(both.items())))
                     out[key] = out.get(key, 0) + c * t.coeff
             prod = out
         for (mono, ders), c in prod.items():

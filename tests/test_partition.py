@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -55,7 +56,7 @@ def _fraction_product(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = m1.mul(m2)
+            m = Monomial(Counter(dict(m1.exps)) + Counter(dict(m2.exps)))
             out[m] = out.get(m, 0) + c1 * c2
     return out
 

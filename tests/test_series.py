@@ -1,13 +1,22 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dessins import operators as ops
 from dessins import partition as pt
 from dessins import spectral as sp
-from dessins.series import Monomial, Poly, RationalFn, distinct_permutations, parse_poly
+from dessins.series import (
+    MARKER_NEG,
+    Monomial,
+    Poly,
+    RationalFn,
+    accumulate_product,
+    distinct_permutations,
+    parse_poly,
+)
 
 
 def P(*pairs):
@@ -17,8 +26,12 @@ def P(*pairs):
 coeffs = st.builds(
     Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
 )
+# t0, t1..t5 and two markers, so products meet every order of keys: integer
+# variables ascending, then markers ascending
 monomials = st.dictionaries(
-    st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=3), max_size=3
+    st.sampled_from([0, 1, 2, 3, 4, 5, MARKER_NEG, "t+"]),
+    st.integers(min_value=1, max_value=3),
+    max_size=4,
 )
 polys = st.lists(st.tuples(monomials, coeffs), max_size=5).map(lambda ps: parse_poly(ps))
 
@@ -45,14 +58,45 @@ def test_poly_mul_derived_square():
     assert sq == P(({2: 2}, 1), ({1: 2, 2: 1}, 1), ({1: 4}, Fraction(1, 4)))
 
 
+def _sorted_product(m1, m2):
+    """Reference monomial product: the summed exponents through the sorting
+    constructor, not ``Monomial.mul``."""
+    return Monomial(Counter(dict(m1.exps)) + Counter(dict(m2.exps)))
+
+
 def _fraction_loop_product(a, b):
     """Reference product: one Fraction multiply and add per pair of terms."""
     out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            m = m1.mul(m2)
+            m = _sorted_product(m1, m2)
             out[m] = out.get(m, Fraction(0)) + c1 * c2
     return {m: c for m, c in out.items() if c}
+
+
+@given(monomials, monomials)
+@example({}, {})
+@example({MARKER_NEG: 2}, {})
+@example({}, {"t+": 1, MARKER_NEG: 1})
+@example({MARKER_NEG: 1}, {0: 1, 5: 2})
+@example({"t+": 1, 3: 1}, {MARKER_NEG: 2, 0: 1, 3: 2})
+@settings(max_examples=200, deadline=None)
+def test_monomial_mul_matches_sorting_constructor(e1, e2):
+    m1, m2 = Monomial(e1), Monomial(e2)
+    got, want = m1.mul(m2), _sorted_product(m1, m2)
+    assert got.exps == want.exps and got.degree == want.degree
+    assert got == want and hash(got) == hash(want)
+
+
+@given(monomials, monomials)
+@example({MARKER_NEG: 1}, {1: 1})
+@settings(max_examples=100, deadline=None)
+def test_accumulate_product_adds_to_the_equal_key_it_holds(e1, e2):
+    # the accumulator holds the product as an equal but distinct object
+    held = _sorted_product(Monomial(e1), Monomial(e2))
+    acc = {held: 5}
+    accumulate_product(acc, {Monomial(e1): 2}, {Monomial(e2): 3}, 7)
+    assert acc == {held: 47} and next(iter(acc)) is held
 
 
 def _all_fractions(p):
