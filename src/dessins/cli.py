@@ -54,12 +54,12 @@ FLOW_DEPTH_BUDGET = 10
 COMMUTATOR_DEG_BUDGET = 14
 
 # largest Euler degree 2g - 2 + n a tr request may ask for;
-# cold, (0,6) takes about 4 s on a 2-core VM, and (2,3) at degree 5 about 12 s
+# cold, (0,6) takes about 4 s on a 2-core VM, and (2,3) at degree 5 about 8 s
 TR_DEGREE_BUDGET = 4
 
 # largest --order a tr or verify request may give; cold, tr
-# (0,6) takes about 8.5 s at order 12 and 14-17 s at 16 on a 2-core VM, and
-# verify --suites tr 5.8 s at 24 and 20 s at 30
+# (0,6) takes about 5 s at order 12 and 11 s at 16 on a 2-core VM, and
+# verify --suites tr 1.2 s at 12, 25 s at 24 and 130 s at 30
 ORDER_BUDGET = 12
 
 # largest --cap an export-correlator request may give; cold, (2,10) takes
@@ -325,7 +325,9 @@ def _suite_bergman(args) -> List[str]:
 def _suite_tr(args) -> List[str]:
     out = []
     k = args.order
-    for g, n, hi in [(0, 3, k), (1, 1, k + 1), (0, 4, k), (1, 2, k), (2, 1, k), (1, 3, k)]:
+    for g, n, hi in [
+        (0, 3, k), (1, 1, k + 1), (0, 4, k), (1, 2, k), (2, 1, k), (1, 3, k), (0, 5, k), (2, 2, k)
+    ]:
         out.extend(spectral.tr_agreement_check(g, n, hi))
     return out
 

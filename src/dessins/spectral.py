@@ -12,7 +12,11 @@ by an exact residue recursion.  All residue extraction is algebraic: the
 integrand is expanded as a Laurent series in u = z -+ 1 whose coefficients
 live in the ring spanned by products of 1/(z_j - eps)^k over the passive
 variables, so the residue lands directly in partial-fraction form and pole
-confinement holds structurally.
+confinement holds structurally.  A pole 1/(z - e)^k or 1/(1/z - e)^k of the
+residue variable is one ``RationalFn`` whose denominator is the binomial
+expansion of (z - e)^k (the numerator is 1 or (-e)^k z^k, as
+1 - e z = -e (z - e) at e = +-1); ``_expand_ratfn`` still shifts it to
+z = eps + u and divides the series.
 
 A residue reads one coefficient, that of u^-1, so each factor of the
 integrand is expanded only as far as that coefficient needs.  Each factor
@@ -450,24 +454,25 @@ def _expand_ratfn(fn: RationalFn, eps: int, hi: int) -> ULaurent:
     return ULaurent.from_fractions(out, hi)
 
 
+def _binomial_power(e: int, k: int) -> List[int]:
+    """Coefficients of (z - e)^k, constant term first: C(k, j) (-e)^(k-j) at z^j."""
+    return [comb(k, j) * (-e) ** (k - j) for j in range(k + 1)]
+
+
 def _pole_factor_at(eps_val: int, eps_pole: int, power: int, hi: int, at_inverse: bool) -> ULaurent:
-    """Expansion of 1/(z - eps_pole)^power or 1/(1/z - eps_pole)^power at
-    z = eps_val + u, as scalar series."""
-    if not at_inverse:
-        fn = RationalFn([1])
-        base = RationalFn([-eps_pole, 1])
-    else:
-        # 1/z - e = (1 - e z)/z  ->  1/(1/z - e)^k = z^k / (1 - e z)^k
-        fn = RationalFn([0, 1])
-        base = RationalFn([1, -eps_pole])
-    den = RationalFn([1])
-    num = RationalFn([1])
-    for _ in range(power):
-        den = den * base
-        if at_inverse:
-            num = num * fn
-    result = num / den
-    return _expand_ratfn(result, eps_val, hi)
+    """Expansion of 1/(z - e)^k or 1/(1/z - e)^k at z = eps + u as a scalar
+    series, for e = eps_pole = +-1, k = power and eps = eps_val.
+
+    The rational function is made in one step, with the binomial
+    coefficients of (z - e)^k as its denominator: its numerator is 1 for
+    1/(z - e)^k, and (-e)^k z^k for 1/(1/z - e)^k = z^k/(1 - e z)^k, since
+    1 - e z = -e (z - e) when e = +-1.  That is already the reduced form
+    ``RationalFn`` keeps (coprime, monic denominator), the one a product of
+    k linear factors reduces to.  ``_expand_ratfn`` still does the shift to
+    z = eps + u and the series division.
+    """
+    num = [0] * power + [(-eps_pole) ** power] if at_inverse else [1]
+    return _expand_ratfn(RationalFn(num, _binomial_power(eps_pole, power)), eps_val, hi)
 
 
 def _passive_coupling(slot: int, eps: int, power: int, hi: int, at_inverse: bool) -> ULaurent:
@@ -663,9 +668,7 @@ class OmegaDifferential:
         for key, c in self.value.items():
             term = RationalFn([c])
             for (slot, eps), power in key:
-                base = RationalFn([-eps, 1])
-                for _ in range(power):
-                    term = term / base
+                term = term / RationalFn(_binomial_power(eps, power))
             out = out + term
         return out
 

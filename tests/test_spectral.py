@@ -225,6 +225,36 @@ def test_pole_factor_orders_are_lower_bounds(g, n, eps):
         assert series.coeffs and min(series.coeffs) >= f.order
 
 
+def _linear_power(c0: int, c1: int, k: int) -> list:
+    """(c0 + c1 u)^k by k polynomial products, constant term first."""
+    out = [1]
+    for _ in range(k):
+        out = [c0 * a + c1 * b for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+@pytest.mark.parametrize("at_inverse", [False, True])
+@pytest.mark.parametrize("e", [1, -1])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_pole_factor_times_its_denominator_is_its_numerator(eps, e, at_inverse):
+    # at z = eps + u, 1/(z - e)^k has denominator (u + eps - e)^k, and
+    # 1/(1/z - e)^k = z^k/(1 - e z)^k has (1 - e eps - e u)^k over (eps + u)^k
+    for k in range(1, 9):
+        if at_inverse:
+            den, num = _linear_power(1 - e * eps, -e, k), _linear_power(eps, 1, k)
+        else:
+            den, num = _linear_power(eps - e, 1, k), [1]
+        for hi in range(-k, 11):
+            series = sp._pole_factor_at(eps, e, k, hi, at_inverse).coeffs
+            assert all(-k <= m <= hi for m in series), (k, hi)
+            for m in range(-k, hi + 1):
+                got = sum(
+                    (c[sp.KEY_ONE] * den[m - j] for j, c in series.items() if 0 <= m - j <= k),
+                    Fraction(0),
+                )
+                assert got == (num[m] if 0 <= m < len(num) else 0), (k, hi, m)
+
+
 def test_tr_omega03_symmetric():
     d = sp.tr_omega(0, 3).expand_at_infinity(8)
     for e, c in d.items():
