@@ -48,9 +48,9 @@ DART_BUDGET = 16
 FLOW_DEPTH_BUDGET = 10
 
 # largest --deg-cap a verify request may give the commutator suites (witt,
-# bivalent); with --var-cap as large, a verify --suites witt process takes
-# about 2.0 s at 14 on a 2-core Intel Xeon VM (Python 3.11.7), and each 2
-# more multiply the time by about 1.8
+# bivalent), which also cap each variable index at it; a verify --suites witt
+# process takes about 2.0 s at 14 on a 2-core Intel Xeon VM (Python 3.11.7),
+# and each 2 more multiply the time by about 1.8
 COMMUTATOR_DEG_BUDGET = 14
 
 # largest Euler degree 2g - 2 + n a tr request may ask for;
@@ -205,7 +205,7 @@ def _suite_witt(args) -> List[str]:
             expect = ops.virasoro_l(i + j) if i != j else None
             res = ops.commutator_check(
                 ops.virasoro_l(i), ops.virasoro_l(j), expect, i - j,
-                args.deg_cap, args.var_cap,
+                args.deg_cap, args.deg_cap,
             )
             out.extend(f"[L{i},L{j}] residual at {m.as_str()}" for m, _ in res)
     return out
@@ -292,7 +292,7 @@ def _suite_bivalent(args) -> List[str]:
     # keys, up to 16 darts), so a key the map walk misses is a finding too
     v4_max, v2_max = 2, 4
     out = []
-    res = ops.commutator_check(ops.w0(), ops.w1(), None, 0, args.deg_cap, args.var_cap)
+    res = ops.commutator_check(ops.w0(), ops.w1(), None, 0, args.deg_cap, args.deg_cap)
     out.extend(f"[W0,W1] residual at {m.as_str()}" for m, _ in res)
     b1 = pt.partition_function_bivalent(3, 3)
     b2 = pt.partition_function_bivalent(3, 3, q1_first=True)
@@ -339,26 +339,25 @@ def _suite_norbury(args) -> List[str]:
     return out
 
 
-# darts of the largest map walk of each suite with a fixed window: the
-# bivalent tables to (v4, v2) = (2, 4), the Norbury cells of (0,4) and (1,2)
-# (6 edges) and the d = 4 kernel structures of the matrix suites; the oracle
-# walks 4 darts per vertex of its top keys, 4 (--s-max // 2)
-SUITE_DARTS = {"cutjoin": 16, "opmatrix": 16, "norbury": 12, "adjoint": 16, "bivalent": 16}
-
-# in the order of verify --suites all
-SUITE_FNS = {
-    "cutjoin": _suite_cutjoin,
-    "witt": _suite_witt,
-    "virasoro": _suite_virasoro,
-    "tutte": _suite_tutte,
-    "oracle": _suite_oracle,
-    "opmatrix": _suite_opmatrix,
-    "loop": _suite_loop,
-    "bergman": _suite_bergman,
-    "tr": _suite_tr,
-    "norbury": _suite_norbury,
-    "adjoint": _suite_adjoint,
-    "bivalent": _suite_bivalent,
+# each verify suite, in the order of --suites all: its function, and the darts
+# of its largest map walk at the request's options (0: it walks no map),
+# checked against --n-budget before any suite runs; the d = 4 kernel
+# structures of the matrix suites, 4 darts per vertex of the oracle's top
+# keys, the Norbury cells of (0,4) and (1,2) (6 edges) and the bivalent
+# tables to (v4, v2) = (2, 4)
+VERIFY_SUITES = {
+    "cutjoin": (_suite_cutjoin, lambda args: 16),
+    "witt": (_suite_witt, lambda args: 0),
+    "virasoro": (_suite_virasoro, lambda args: 0),
+    "tutte": (_suite_tutte, lambda args: 0),
+    "oracle": (_suite_oracle, lambda args: 4 * (args.s_max // 2)),
+    "opmatrix": (_suite_opmatrix, lambda args: 16),
+    "loop": (_suite_loop, lambda args: 0),
+    "bergman": (_suite_bergman, lambda args: 0),
+    "tr": (_suite_tr, lambda args: 0),
+    "norbury": (_suite_norbury, lambda args: 12),
+    "adjoint": (_suite_adjoint, lambda args: 16),
+    "bivalent": (_suite_bivalent, lambda args: 16),
 }
 
 
@@ -366,19 +365,13 @@ def cmd_verify(args) -> int:
     _check_budget("--order", args.order, ORDER_BUDGET)
     _check_budget("--deg-cap", args.deg_cap, COMMUTATOR_DEG_BUDGET)
     _check_budget("flow depth m + d", max(args.dmax, args.s_max // 2), FLOW_DEPTH_BUDGET)
-    names = list(SUITE_FNS) if args.suites == ["all"] else args.suites
-    if not names:
-        return _usage_error(f"no suites given; known: {', '.join(SUITE_FNS)}")
-    unknown = [s for s in names if s not in SUITE_FNS]
-    if unknown:
-        return _usage_error(f"unknown suites {unknown}; known: {', '.join(SUITE_FNS)}")
-    darts = dict(SUITE_DARTS, oracle=4 * (args.s_max // 2))
-    for name in names:
-        _check_budget(f"the map walk of the {name} suite", darts.get(name, 0), args.n_budget)
+    for name in args.suites:
+        _check_budget(f"the map walk of the {name} suite", VERIFY_SUITES[name][1](args),
+                      args.n_budget)
     any_residual = False
     report = {}
-    for name in names:
-        findings = SUITE_FNS[name](args)
+    for name in args.suites:
+        findings = VERIFY_SUITES[name][0](args)
         report[name] = findings
         status = "PASS" if not findings else "FAIL"
         print(f"{status} {name}" + (f" ({len(findings)} residuals)" if findings else ""))
@@ -386,7 +379,7 @@ def cmd_verify(args) -> int:
             print(f"    {f}")
         any_residual = any_residual or bool(findings)
     if args.out:
-        _emit(_json_dumps({k: v for k, v in report.items()}), args.out)
+        _emit(_json_dumps(report), args.out)
     return EXIT_RESIDUAL if any_residual else EXIT_OK
 
 
@@ -430,10 +423,11 @@ def cmd_export(args) -> int:
         if args.s_max // 2 < max(args.nplus - 1, 1):
             nplus = f" and {args.nplus} positive boundaries" if args.nplus else ""
             return _usage_error(f"no map has a perimeter total <= --s-max {args.s_max}{nplus}")
-        _check_budget("flow depth m + d", args.s_max // 2, FLOW_DEPTH_BUDGET)
+        # the lower layers of a flow do not depend on its top depth, so one
+        # series serves every total
+        c = _connected_series(args.s_max // 2, 0)
         rows = []
         for tot in range(2, args.s_max + 1, 2):
-            c = _connected_series(tot // 2, 0)
             n_range = [args.nplus] if args.nplus else range(1, tot + 1)
             for n_plus in n_range:
                 for alpha in sorted_multi(tot, n_plus, 1):
@@ -464,6 +458,20 @@ def _at_least(low: int):
     return parse
 
 
+def _suite_names(text: str) -> List[str]:
+    """argparse type of --suites: the comma list, each suite once in
+    first-seen order, so stdout agrees with --out; a lone ``all`` is every
+    suite."""
+    names = list(dict.fromkeys(s.strip() for s in text.split(",") if s.strip()))
+    if names == ["all"]:
+        return list(VERIFY_SUITES)
+    unknown = [s for s in names if s not in VERIFY_SUITES]
+    if not names or unknown:
+        got = f"unknown suites {unknown}" if unknown else "no suites given"
+        raise argparse.ArgumentTypeError(f"{got}; known: {', '.join(VERIFY_SUITES)}")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dessins",
@@ -491,11 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument(
-        "--suites", default="all",
-        help=f"comma list from: {','.join(SUITE_FNS)},all; a suite named twice runs once",
+        "--suites", type=_suite_names, default="all",
+        help=f"comma list from: {','.join(VERIFY_SUITES)},all; a suite named twice runs once",
     )
     p.add_argument("--deg-cap", dest="deg_cap", type=_at_least(0), default=10)
-    p.add_argument("--var-cap", dest="var_cap", type=_at_least(0), default=12)
     p.add_argument("--dmax", type=_at_least(0), default=4)
     p.add_argument("--order", type=_at_least(0), default=8)
     p.add_argument("--s-max", dest="s_max", type=_at_least(0), default=8)
@@ -539,9 +546,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 2 after its usage message, 0 after --help
         return exc.code
-    if getattr(args, "suites", None) is not None and isinstance(args.suites, str):
-        # each suite once, in first-seen order, so stdout agrees with --out
-        args.suites = list(dict.fromkeys(s.strip() for s in args.suites.split(",") if s.strip()))
     try:
         maps.configure_threads(args.threads)
         return args.fn(args)

@@ -661,17 +661,6 @@ class OmegaDifferential:
     def pole_locations(self) -> set:
         return {se[1] for key in self.value for se, _ in key}
 
-    def as_rational_fn(self) -> RationalFn:
-        if self.n != 1:
-            raise ValueError("as_rational_fn only for n = 1")
-        out = RationalFn([0])
-        for key, c in self.value.items():
-            term = RationalFn([c])
-            for (slot, eps), power in key:
-                term = term / RationalFn(_binomial_power(eps, power))
-            out = out + term
-        return out
-
     def expand_at_infinity(self, hi: int) -> Dict[MultiIndex, Fraction]:
         """Coefficients of prod z_i^-e_i, exact for total order <= hi."""
         out: Dict[MultiIndex, Fraction] = {}

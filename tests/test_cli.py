@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dessins import cli, maps
+from dessins import cli, maps, opmatrix
 from dessins import partition as pt
 
 
@@ -48,7 +48,7 @@ def test_counts_rejects_bad_alpha():
 
 
 def test_verify_witt_exit_zero():
-    code, out = run_cli("verify", "--suites", "witt", "--deg-cap", "6", "--var-cap", "6")
+    code, out = run_cli("verify", "--suites", "witt", "--deg-cap", "6")
     assert code == 0
     assert "PASS witt" in out
 
@@ -69,8 +69,8 @@ def test_verify_aggregates_without_short_circuit(monkeypatch):
         calls.append("second")
         return []
 
-    monkeypatch.setitem(cli.SUITE_FNS, "witt", fake_fail)
-    monkeypatch.setitem(cli.SUITE_FNS, "bergman", fake_pass)
+    monkeypatch.setitem(cli.VERIFY_SUITES, "witt", (fake_fail, lambda args: 0))
+    monkeypatch.setitem(cli.VERIFY_SUITES, "bergman", (fake_pass, lambda args: 0))
     code, out = run_cli("verify", "--suites", "witt,bergman")
     assert code == cli.EXIT_RESIDUAL
     assert calls == ["first", "second"]
@@ -88,7 +88,7 @@ def test_verify_runs_a_repeated_suite_once(monkeypatch, tmp_path):
         return suite
 
     for name in ("witt", "bergman"):
-        monkeypatch.setitem(cli.SUITE_FNS, name, fake(name))
+        monkeypatch.setitem(cli.VERIFY_SUITES, name, (fake(name), lambda args: 0))
     out_path = tmp_path / "report.json"
     code, out = run_cli("verify", "--suites", "witt, bergman,witt,,bergman", "--out", str(out_path))
     assert code == 0
@@ -205,10 +205,9 @@ def test_export_correlator_json(tmp_path):
         ("verify", "--suites", "tr", "--order", "-1"),
         ("verify", "--suites", "loop", "--order", "-3"),
         ("verify", "--suites", "witt", "--deg-cap", "-3"),
-        ("verify", "--suites", "witt", "--var-cap", "-1", "--deg-cap", "4"),
         ("verify", "--suites", "bivalent", "--deg-cap", "-1"),
-        ("verify", "--suites", "all", "--var-cap", "-2"),
         ("verify", "--suites", ","),
+        ("verify", "--suites", "all,witt"),
         ("verify", "--suites", "oracle", "--n-budget", "-1"),
         ("verify", "--suites", "witt", "--dmax", "-5"),
         ("verify", "--suites", "virasoro", "--dmax", "-5"),
@@ -226,6 +225,9 @@ def test_export_correlator_json(tmp_path):
         ("counts", "--alpha", "1 1", "--g", "5"),
         ("export", "--what", "counts", "--s-max", "4", "--nplus", "9"),
         ("export", "--what", "counts", "--s-max", "6", "--nplus", "5"),
+        # a usage error comes before any budget check
+        ("verify", "--suites", "nosuch", "--order", "99"),
+        ("verify", "--suites", ",", "--deg-cap", "99"),
     ],
     ids=" ".join,
 )
@@ -285,7 +287,7 @@ def test_flow_over_depth_budget_exits_budget_with_message(argv):
     "argv",
     [
         ("verify", "--suites", "witt", "--deg-cap", "15"),
-        ("verify", "--suites", "bivalent", "--deg-cap", "15", "--var-cap", "4"),
+        ("verify", "--suites", "bivalent", "--deg-cap", "15"),
     ],
     ids=" ".join,
 )
@@ -371,7 +373,54 @@ def test_parser_built_once_with_a_fresh_namespace_per_request():
     second = cli._parser().parse_args(["verify"])
     assert cli._parser() is cli._parser()
     assert second is not first
-    assert (second.suites, second.deg_cap) == ("all", 10)
+    assert (second.suites, second.deg_cap) == (list(cli.VERIFY_SUITES), 10)
+
+
+def test_export_counts_builds_one_connected_series(monkeypatch):
+    calls = []
+    real_connected = pt.connected
+
+    def counting(z):
+        calls.append(z)
+        return real_connected(z)
+
+    monkeypatch.setattr(pt, "connected", counting)
+    code, out = run_cli("export", "--what", "counts", "--s-max", "8")
+    assert code == 0 and json.loads(out)["rows"]
+    assert len(calls) == 1
+
+
+# the suites that walk maps; each other suite must declare a walk of 0 darts
+MAP_WALKING_SUITES = {"cutjoin", "oracle", "opmatrix", "norbury", "adjoint", "bivalent"}
+
+
+def test_each_suite_declares_the_darts_of_its_largest_map_walk(monkeypatch):
+    darts = []
+
+    def recording(walk, size):
+        def call(*key):
+            darts.append(size(*key))
+            return walk(*key)
+
+        return call
+
+    monkeypatch.setattr(maps, "_dessin_table",
+                        recording(maps._dessin_table, lambda v4, v2: 4 * v4 + 2 * v2))
+    monkeypatch.setattr(opmatrix, "_structures", recording(opmatrix._structures, lambda d: 4 * d))
+    monkeypatch.setattr(maps, "_norbury_cells", recording(
+        maps._norbury_cells, lambda g, n: max(sum(t) for t in maps._valence_types(g, n))
+    ))
+    args = cli.build_parser().parse_args(["verify"])
+    for name, (suite, declared) in cli.VERIFY_SUITES.items():
+        if name not in MAP_WALKING_SUITES:
+            assert declared(args) == 0, name
+            continue
+        # the cached callers of the walks, so each suite walks again
+        for cached in (opmatrix.kernel_block, opmatrix.assembled_operator, maps._norbury_table):
+            cached.cache_clear()
+        darts.clear()
+        assert suite(args) == []
+        assert max(darts) == declared(args), name
 
 
 def test_tutte_suite_checks_connected_series_through_sum_14(monkeypatch):
