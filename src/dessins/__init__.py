@@ -9,7 +9,7 @@ equation, the Eynard-Orantin topological recursion on x = z + 1/z, and the
 lattice-count substitution identity for Norbury polynomials.
 """
 
-from .series import MARKER_NEG, Monomial, Poly, RationalFn
+from .series import MARKER_NEG, Monomial, Poly
 from .operators import (
     DiffOp,
     DiffTerm,

@@ -67,6 +67,11 @@ ORDER_BUDGET = 12
 # about 11 s at cap 30 and more than 20 s at cap 40
 CORRELATOR_CAP_BUDGET = 20
 
+# largest --cap an export-kernel request may give; cold, the (0,3,3) block
+# takes about 0.9 s at cap 12, 1.9 s at 16 and 5-7 s at 20 on a 2-core
+# 2.0 GHz Xeon VM (Python 3.11.7), and each 4 more multiply the time by about 3
+KERNEL_CAP_BUDGET = 20
+
 
 def _emit(text: str | Iterable[str], out_path: str | None):
     """Write ``text``, or its pieces one at a time as they come, to
@@ -317,9 +322,7 @@ def _suite_loop(args) -> List[str]:
 
 
 def _suite_bergman(args) -> List[str]:
-    out = spectral.bergman_check(max(args.order, 10))
-    out.extend(spectral.bergman_full_identity(3))
-    return out
+    return spectral.bergman_check(max(args.order, 10))
 
 
 def _suite_tr(args) -> List[str]:
@@ -410,6 +413,7 @@ def cmd_export(args) -> int:
     if args.what == "kernel":
         _check_budget("the kernel map walk 4(2g - 2 + n+ + n-)",
                       4 * opmatrix.euler_degree(args.g, args.nplus, args.nminus), args.n_budget)
+        _check_budget("kernel --cap", args.cap, KERNEL_CAP_BUDGET)
         block = opmatrix.kernel_block(args.g, args.nplus, args.nminus, args.cap)
         _emit(_json_dumps(block.to_json_dict()), args.out)
     elif args.what == "maps":

@@ -1,4 +1,4 @@
-r"""Exact sparse polynomial and rational-function arithmetic.
+r"""Exact sparse polynomial arithmetic.
 
 All coefficients are ``fractions.Fraction``; there is no floating-point mode
 anywhere in the package.  The product kernels (``accumulate_product`` here,
@@ -11,17 +11,13 @@ product monomial's exponent tuple is one merge of its factors' sorted
 tuples (``_merged``), never a sort.  Each kernel call keeps the monomial of
 every exponent tuple it has built, so each distinct product is built once
 per call and the accumulator finds it by identity; the table lives only for
-that call, so no process-wide table of monomials grows.  Two kinds of
-values live here:
+that call, so no process-wide table of monomials grows.
 
-* ``Monomial`` / ``Poly`` -- exact sparse multivariate polynomials in
-  variables ``t1, t2, ...`` (variable ``i`` carries *weighted degree* ``i``),
-  the bookkeeping variable ``t0`` (weight 0) and named *marker* variables
-  such as ``t-`` (weight 0).  Every route computes whole layers, each an
-  exact finite polynomial.
-
-* ``RationalFn`` -- dense univariate rational functions over ``Fraction``,
-  gcd-normalized, used for the spectral-curve computations.
+``Monomial`` / ``Poly`` are exact sparse multivariate polynomials in
+variables ``t1, t2, ...`` (variable ``i`` carries *weighted degree* ``i``),
+the bookkeeping variable ``t0`` (weight 0) and named *marker* variables such
+as ``t-`` (weight 0).  Every route computes whole layers, each an exact
+finite polynomial.
 
 The monomial order used for canonical rendering is graded lexicographic on
 (weighted degree, exponent vector), so printed polynomials are stable and
@@ -368,162 +364,3 @@ def mu_factorial(parts: Iterable[int]) -> int:
 def distinct_permutations(parts: Sequence[int]) -> List[Tuple[int, ...]]:
     """The distinct reorderings of ``parts``, in lexicographic order."""
     return sorted(set(itertools.permutations(parts)))
-
-
-# ---------------------------------------------------------------------------
-# Univariate rational functions
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] -= c * y
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-class RationalFn:
-    """Quotient of dense univariate polynomials over Q, gcd-normalized."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(Fraction(1),)):
-        num = _poly_trim([_fr(c) for c in num])
-        den = _poly_trim([_fr(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = _poly_gcd(num, den)
-            if len(g) > 1:
-                num = _poly_divmod(num, g)[0]
-                den = _poly_divmod(den, g)[0]
-        else:
-            den = [Fraction(1)]
-        lead = den[-1]
-        if lead != 1:
-            num = [c / lead for c in num]
-            den = [c / lead for c in den]
-        self.num = tuple(num)
-        self.den = tuple(den)
-
-    @staticmethod
-    def const(c) -> "RationalFn":
-        return RationalFn([_fr(c)])
-
-    @staticmethod
-    def z() -> "RationalFn":
-        return RationalFn([0, 1])
-
-    def __add__(self, other):
-        other = other if isinstance(other, RationalFn) else RationalFn.const(other)
-        return RationalFn(
-            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
-            _poly_mul(self.den, other.den),
-        )
-
-    def __neg__(self):
-        return RationalFn([-c for c in self.num], self.den)
-
-    def __sub__(self, other):
-        other = other if isinstance(other, RationalFn) else RationalFn.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = other if isinstance(other, RationalFn) else RationalFn.const(other)
-        return RationalFn(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
-
-    def __truediv__(self, other):
-        other = other if isinstance(other, RationalFn) else RationalFn.const(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFn) and self.num == other.num and self.den == other.den
-        )
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def shifted(self, a) -> Tuple[list, list]:
-        """Numerator and denominator as polynomials in u where z = a + u."""
-        a = _fr(a)
-
-        def shift_safe(p):
-            out = [Fraction(0)] * max(1, len(p))
-            cur = [Fraction(1)]  # (a+u)^0
-            for i, c in enumerate(p):
-                if c:
-                    for j, b in enumerate(cur):
-                        out[j] += c * b
-                nxt = [Fraction(0)] * (len(cur) + 1)
-                for j, b in enumerate(cur):
-                    nxt[j] += b * a
-                    nxt[j + 1] += b
-                cur = nxt
-            return _poly_trim(out)
-
-        return shift_safe(list(self.num)), shift_safe(list(self.den))
-
-    def as_str(self, var: str = "z") -> str:
-        def ps(p):
-            if not p:
-                return "0"
-            parts = []
-            for i, c in enumerate(p):
-                if not c:
-                    continue
-                if i == 0:
-                    parts.append(str(c))
-                else:
-                    v = var if i == 1 else f"{var}^{i}"
-                    parts.append(v if c == 1 else f"{c}*{v}")
-            return " + ".join(parts).replace("+ -", "- ")
-
-        if self.den == (Fraction(1),):
-            return ps(self.num)
-        return f"({ps(self.num)}) / ({ps(self.den)})"
-
-    def __repr__(self):
-        return f"RationalFn({self.as_str()})"

@@ -60,7 +60,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from . import tutte
 from .maps import NORBURY_SUPPORTED, norbury_N
-from .series import RationalFn, distinct_permutations, sorted_multi
+from .series import _fr, distinct_permutations, sorted_multi
 
 # pinned so that the residue recursion reproduces the Laplace coefficients
 KERNEL_SCALE = Fraction(-1, 2)
@@ -284,36 +284,6 @@ def bergman_check(cap: int) -> List[str]:
     return [f"exponents {e}: {lv} != {rv}" for e, lv, rv in _mismatches(lhs, rhs, cap)]
 
 
-def _x(z: RationalFn) -> RationalFn:
-    """The Zhukovsky map x = z + 1/z."""
-    return z + RationalFn.const(1) / z
-
-
-def _dx(z: RationalFn) -> RationalFn:
-    """x'(z) = 1 - 1/z^2."""
-    return RationalFn.const(1) - RationalFn.const(1) / (z * z)
-
-
-def bergman_full_identity(order: int) -> List[str]:
-    """1/(z1 z2 - 1)^2 + x'(z1) x'(z2)/(x(z1) - x(z2))^2 = 1/(z1 - z2)^2.
-
-    Checked as an equality of rational functions in z1, with z2 fixed to
-    each rational point p/q, 1 <= q <= order, q < p <= q + order.
-    """
-    one = RationalFn.const(1)
-    z1 = RationalFn.z()
-    grid = {Fraction(p, q) for q in range(1, order + 1) for p in range(q + 1, q + 1 + order)}
-    findings = []
-    for z2 in sorted(grid):
-        w = RationalFn.const(z2)
-        x_diff = _x(z1) - _x(w)
-        lhs = one / ((z1 * w - one) * (z1 * w - one)) + _dx(z1) * _dx(w) / (x_diff * x_diff)
-        rhs = one / ((z1 - w) * (z1 - w))
-        if lhs != rhs:
-            findings.append(f"z2={z2}: {lhs.as_str('z1')} != {rhs.as_str('z1')}")
-    return findings
-
-
 # ---------------------------------------------------------------------------
 # exact residue machinery for the topological recursion
 # ---------------------------------------------------------------------------
@@ -418,6 +388,85 @@ class ULaurent:
         if self.hi < -1:
             raise ValueError("window does not include the residue coefficient")
         return self.coeffs.get(-1, {})
+
+
+# dense univariate polynomials over Q, constant term first, for RationalFn
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a, b):
+    a = list(a)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and a:
+        c = a[-1] / b[-1]
+        d = len(a) - len(b)
+        q[d] = c
+        for i, y in enumerate(b):
+            a[d + i] -= c * y
+        _poly_trim(a)
+    return _poly_trim(q), a
+
+
+def _poly_gcd(a, b):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+class RationalFn:
+    """Quotient of dense univariate polynomials over Q, gcd-normalized."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=(Fraction(1),)):
+        num = _poly_trim([_fr(c) for c in num])
+        den = _poly_trim([_fr(c) for c in den])
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if num:
+            g = _poly_gcd(num, den)
+            if len(g) > 1:
+                num = _poly_divmod(num, g)[0]
+                den = _poly_divmod(den, g)[0]
+        else:
+            den = [Fraction(1)]
+        lead = den[-1]
+        if lead != 1:
+            num = [c / lead for c in num]
+            den = [c / lead for c in den]
+        self.num = tuple(num)
+        self.den = tuple(den)
+
+    def shifted(self, a) -> Tuple[list, list]:
+        """Numerator and denominator as polynomials in u where z = a + u."""
+        a = _fr(a)
+
+        def shift_safe(p):
+            out = [Fraction(0)] * max(1, len(p))
+            cur = [Fraction(1)]  # (a+u)^0
+            for i, c in enumerate(p):
+                if c:
+                    for j, b in enumerate(cur):
+                        out[j] += c * b
+                nxt = [Fraction(0)] * (len(cur) + 1)
+                for j, b in enumerate(cur):
+                    nxt[j] += b * a
+                    nxt[j + 1] += b
+                cur = nxt
+            return _poly_trim(out)
+
+        return shift_safe(list(self.num)), shift_safe(list(self.den))
 
 
 def _expand_ratfn(fn: RationalFn, eps: int, hi: int) -> ULaurent:
@@ -580,7 +629,7 @@ def _bergman_eval(arg1, arg2, eps: int) -> _Factor:
     kinds = (arg1, arg2)
     if kinds == (("z", 0), ("invz", 0)) or kinds == (("invz", 0), ("z", 0)):
         # 1/(z - 1/z)^2 = z^2/(z^2-1)^2
-        fn = RationalFn([0, 0, 1]) / RationalFn([1, 0, -2, 0, 1])
+        fn = RationalFn([0, 0, 1], [1, 0, -2, 0, 1])
         return _Factor(-2, partial(_expand_ratfn, fn, eps))
     (k1, j1), (k2, j2) = kinds
     if k1 == "passive" and k2 in ("z", "invz"):
@@ -594,16 +643,14 @@ def _bergman_eval(arg1, arg2, eps: int) -> _Factor:
 def _integrand_factors(g: int, n: int, eps: int) -> List[_Factor]:
     """ker1, ker2, jac and the bracket of the residue of omega_{g,n} at z = eps."""
     # 1/(omega01 - sigma*omega01) = -z^3/(z^2-1)^2, pole of order 2
-    ker1 = _Factor(
-        -2, partial(_expand_ratfn, RationalFn([0, 0, 0, -1]) / RationalFn([1, 0, -2, 0, 1]), eps)
-    )
+    ker1 = _Factor(-2, partial(_expand_ratfn, RationalFn([0, 0, 0, -1], [1, 0, -2, 0, 1]), eps))
     # 1/(z - z1) - 1/(1/z - z1) vanishes at z = eps, where 1/z = z
     ker2 = _Factor(
         1,
         lambda hi: _passive_coupling(1, eps, 1, hi, at_inverse=False)
         + _passive_coupling(1, eps, 1, hi, at_inverse=True).scale(Fraction(-1)),
     )
-    jac = _Factor(0, partial(_expand_ratfn, RationalFn([-1]) / RationalFn([0, 0, 1]), eps))
+    jac = _Factor(0, partial(_expand_ratfn, RationalFn([-1], [0, 0, 1]), eps))
     passives = list(range(2, n + 1))
     bracket: List[_Factor] = []
     # genus-reduction term omega_{g-1, n+1}(z, sigma z, passives)

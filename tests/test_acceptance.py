@@ -187,7 +187,6 @@ def test_criterion_08_loop_equation():
 def test_criterion_09_bergman_identity():
     t0 = time.time()
     assert spectral.bergman_check(10) == []
-    assert spectral.bergman_full_identity(3) == []
     _report(9, "W_{0,2}(z1,z2) x'(z1) x'(z2) = 1/(z1 z2 - 1)^2 to order 10", t0)
 
 

@@ -308,6 +308,7 @@ def test_deg_cap_over_budget_exits_budget_with_message(argv):
         ("verify", "--suites", "tr", "--order", "13"),
         ("export", "--what", "correlator", "--g", "4", "--n", "4", "--cap", "21"),
         ("export", "--what", "correlator", "--g", "4", "--n", "4", "--cap", "40"),
+        ("export", "--what", "kernel", "--g", "0", "--nplus", "3", "--nminus", "3", "--cap", "40"),
     ],
     ids=" ".join,
 )
@@ -315,7 +316,8 @@ def test_scan_and_tr_over_budget_exit_budget_with_message(argv):
     # the bivalent brute force needs up to 16 darts, the (0,2,2) kernel 8, the
     # map dump 18 over the default 16; tr is one past
     # cli.TR_DEGREE_BUDGET = 4 in 2g - 2 + n, or one past cli.ORDER_BUDGET = 12;
-    # a correlator is past cli.CORRELATOR_CAP_BUDGET = 20
+    # a correlator is past cli.CORRELATOR_CAP_BUDGET = 20, and the (0,3,3)
+    # kernel, its 16 darts within --n-budget, past cli.KERNEL_CAP_BUDGET = 20
     _assert_budget_error(argv)
 
 

@@ -12,7 +12,6 @@ from dessins.series import (
     MARKER_NEG,
     Monomial,
     Poly,
-    RationalFn,
     accumulate_product,
     distinct_permutations,
     parse_poly,
@@ -159,13 +158,3 @@ def test_solve_disc_quadratic_identity():
 def test_distinct_permutations_sorted_without_repeats():
     assert distinct_permutations((1, 1, 2)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
     assert distinct_permutations((3,)) == [(3,)]
-
-
-def test_rational_fn_normalization_and_expansion():
-    # (z^2 - 1)/(z - 1) reduces to z + 1
-    f = RationalFn([-1, 0, 1]) / RationalFn([-1, 1])
-    assert f == RationalFn([1, 1])
-    g = RationalFn([1]) / RationalFn([-1, 0, 1])  # 1/(z^2 - 1)
-    # at z = 1 + u: 1 / (2u + u^2)
-    assert g.shifted(1) == ([1], [0, 2, 1])
-

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dessins import spectral as sp
 from dessins import tutte
-from dessins.series import RationalFn
 
 
 def test_w01_equals_disc_series():
@@ -144,13 +143,6 @@ def test_disc_equation_is_loop_equation_at_01():
 
 def test_bergman_identity():
     assert sp.bergman_check(10) == []
-    assert sp.bergman_full_identity(3) == []
-
-
-def test_bergman_full_identity_detects_wrong_sign_in_dx(monkeypatch):
-    one = RationalFn.const(1)
-    monkeypatch.setattr(sp, "_dx", lambda z: one + one / (z * z))
-    assert sp.bergman_full_identity(3)
 
 
 def test_tr_omega11_closed_form():
@@ -259,6 +251,39 @@ def test_pole_factor_times_its_denominator_is_its_numerator(eps, e, at_inverse):
                 assert got == (num[m] if 0 <= m < len(num) else 0), (k, hi, m)
 
 
+@pytest.mark.parametrize("eps", [1, -1])
+def test_fixed_tr_factors_times_their_denominators_are_their_numerators(eps):
+    # at z = eps + u: z^2 - 1 = u (2 eps + u), so (z^2 - 1)^2 = u^2 (2 eps + u)^2;
+    # ker1 = -z^3/(z^2 - 1)^2, jac = -1/z^2, Bergman(z, 1/z) = z^2/(z^2 - 1)^2
+    ker1, _, jac, _ = sp._integrand_factors(0, 3, eps)
+    bergman = sp._bergman_eval(("z", 0), ("invz", 0), eps)
+    z_sq_minus_1_sq = [0, 0] + _linear_power(2 * eps, 1, 2)
+    cases = {
+        "ker1": (ker1, z_sq_minus_1_sq, [-c for c in _linear_power(eps, 1, 3)]),
+        "jac": (jac, _linear_power(eps, 1, 2), [-1]),
+        "bergman": (bergman, z_sq_minus_1_sq, _linear_power(eps, 1, 2)),
+    }
+    for name, (factor, den, num) in cases.items():
+        for hi in range(factor.order, 11):
+            series = factor.expand(hi).coeffs
+            assert all(factor.order <= m <= hi for m in series), (name, hi)
+            for m in range(factor.order, hi + 1):
+                got = sum(
+                    (c[sp.KEY_ONE] * den[m - j]
+                     for j, c in series.items() if 0 <= m - j < len(den)),
+                    Fraction(0),
+                )
+                assert got == (num[m] if 0 <= m < len(num) else 0), (name, hi, m)
+
+
+def test_rational_fn_normalization_and_expansion():
+    # (z^2 - 1)/(z - 1) reduces to z + 1
+    f = sp.RationalFn([-1, 0, 1], [-1, 1])
+    assert (f.num, f.den) == ((1, 1), (1,))
+    # 1/(z^2 - 1) at z = 1 + u: 1 / (2u + u^2)
+    assert sp.RationalFn([1], [-1, 0, 1]).shifted(1) == ([1], [0, 2, 1])
+
+
 def test_tr_omega03_symmetric():
     d = sp.tr_omega(0, 3).expand_at_infinity(8)
     for e, c in d.items():
@@ -287,14 +312,3 @@ def test_tree_series_and_norbury_substitution():
 def test_norbury_substitution_rejects_unsupported():
     with pytest.raises(ValueError):
         sp.norbury_substitution_check(2, 1, 6)
-
-
-def test_kernel_denominator_antisymmetry_under_inversion():
-    # the 1-form omega01 - sigma*omega01 changes sign under z -> 1/z:
-    # D(1/z) * d(1/z)/dz = -D(z) with D(z) = -(z^2-1)^2/z^3
-    from dessins.series import RationalFn
-
-    d = RationalFn([1, 0, -2, 0, 1]) / RationalFn([0, 0, 0, -1])
-    d_at_inverse = RationalFn([1, 0, -2, 0, 1]) / RationalFn([0, -1])
-    jacobian = RationalFn([-1]) / RationalFn([0, 0, 1])
-    assert d_at_inverse * jacobian == -d
