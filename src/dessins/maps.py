@@ -9,10 +9,14 @@ to the global flip.
 
 Every walk here is a walk over connected maps: all of them share one step,
 ``_connected_maps``, which keeps the s1 for which <s0, s1> is transitive and
-reads off the faces.  Transitivity is tested on the vertex graph, not on the
+labels its faces.  Transitivity is tested on the vertex graph, not on the
 darts: its vertices are the s0 cycles and each dart d joins the cycle of d
-to the cycle of s1[d].  A connected map with Euler characteristic chi has
-genus (2 - chi)/2.
+to the cycle of s1[d].  The face labelling is one pass over the darts: the
+face index of every dart, and each face's smallest dart and perimeter, the
+faces numbered by their smallest dart.  The count tables, the kernel
+structures and the Norbury cells read only these labels; the dump alone
+lists each face's darts in cycle order, with ``face_orbits``.  A connected
+map with Euler characteristic chi has genus (2 - chi)/2.
 
 Counting convention: automorphism-weighted counts sum 1/#Aut over
 isomorphism classes.  They are computed without ever listing automorphisms,
@@ -145,16 +149,25 @@ def face_orbits(s0: Perm, s1: Perm) -> List[Tuple[int, ...]]:
     return orbits(p)
 
 
-def _connected_maps(
-    s0: Perm, involutions: Iterable[Sequence[int]]
-) -> Iterator[Tuple[Sequence[int], List[Tuple[int, ...]]]]:
-    """(s1, faces) for each s1 of ``involutions`` with <s0, s1> transitive.
+# one connected map: (s1, face index per dart, smallest dart per face,
+# perimeter per face)
+LabelledMap = Tuple[Sequence[int], List[int], List[int], List[int]]
+
+
+def _connected_maps(s0: Perm, involutions: Iterable[Sequence[int]]) -> Iterator[LabelledMap]:
+    """(s1, face, first, perim) for each s1 of ``involutions`` with <s0, s1>
+    transitive.
 
     The vertices reached from the s0 cycle of dart 0 grow, one bit per
     cycle, until nothing new is added; s1 is kept when they are all reached.
+    Its faces are then labelled in one pass over the darts: dart d lies on
+    face ``face[d]``, and face i has smallest dart ``first[i]`` and
+    ``perim[i]`` darts.  Faces are numbered by their smallest dart, the
+    order of ``face_orbits``.
     """
+    n = len(s0)
     cycles = orbits(s0)
-    bit = [0] * len(s0)
+    bit = [0] * n
     for i, cyc in enumerate(cycles):
         for d in cyc:
             bit[d] = 1 << i
@@ -168,8 +181,22 @@ def _connected_maps(
                 if b & reached:
                     for d in cyc:
                         reached |= bit[s1[d]]
-        if reached == every:
-            yield s1, face_orbits(s0, s1)
+        if reached != every:
+            continue
+        face = [-1] * n
+        first: List[int] = []
+        perim: List[int] = []
+        for start in range(n):
+            if face[start] < 0:
+                i = len(first)
+                first.append(start)
+                d, k = start, 0
+                while face[d] < 0:
+                    face[d] = i
+                    d = s0[s1[d]]
+                    k += 1
+                perim.append(k)
+        yield s1, face, first, perim
 
 
 @dataclass(frozen=True)
@@ -203,10 +230,11 @@ def directed_maps(valences: Sequence[int]) -> Iterator[DirectedMap]:
     if n == 0:
         return
     s0 = canonical_s0(valences)
-    for s1, faces in _connected_maps(s0, fpf_involutions(n)):
+    for s1, _face, _first, _perim in _connected_maps(s0, fpf_involutions(n)):
         eps = direction_coloring(s0, s1)
         if eps is None:
             continue
+        faces = face_orbits(s0, s1)
         sign = [eps[f[0]] for f in faces]
         if any(eps[d] != s for f, s in zip(faces, sign) for d in f):
             raise AssertionError("direction not constant on a face")
@@ -244,18 +272,18 @@ def configure_threads(threads: int) -> None:
     _SCAN_THREADS = threads
 
 
-def sign_pattern_maps(
-    valences: Sequence[int], first_image: int
-) -> Iterator[Tuple[List[int], List[Tuple[int, ...]]]]:
+def sign_pattern_maps(valences: Sequence[int], first_image: int) -> Iterator[LabelledMap]:
     """Walk one slice of the connected directed maps on the fixed sign pattern.
 
     All valences are even, so every cycle of the canonical s0 starts at an
     even dart and the pattern with + on even cycle positions is + on the
     even darts.  ``s1`` pairs the even darts with the odd darts bijectively,
     so every map is directed by construction; the slice holds the
-    bijections sending dart 0 to ``first_image``.  Yields (s1, faces) per
-    connected map.  ``s1`` is one list updated in place, valid until the
-    next step.  A face's sign is the sign of any of its darts.
+    bijections sending dart 0 to ``first_image``.  Yields the face labelling
+    (s1, face, first, perim) of ``_connected_maps`` per connected map.
+    ``s1`` is one list updated in place, valid until the next step.  A
+    face's sign is the sign of any of its darts, so + when its smallest
+    dart is even.
     """
     n = sum(valences)
     s1 = [0] * n
@@ -278,10 +306,10 @@ def _scan_slice(valences: Tuple[int, ...], first_image: int) -> Dict[TableKey, i
     n = sum(valences)
     n_vert = len(valences)
     table: Dict[TableKey, int] = {}
-    for _s1, faces in sign_pattern_maps(valences, first_image):
-        pos_perims = tuple(sorted(len(f) for f in faces if f[0] % 2 == 0))
-        chi = n_vert - n // 2 + len(faces)
-        key = ((2 - chi) // 2, len(faces) - len(pos_perims), pos_perims)
+    for _s1, _face, first, perim in sign_pattern_maps(valences, first_image):
+        pos_perims = tuple(sorted(k for d, k in zip(first, perim) if d % 2 == 0))
+        chi = n_vert - n // 2 + len(perim)
+        key = ((2 - chi) // 2, len(perim) - len(pos_perims), pos_perims)
         table[key] = table.get(key, 0) + 1
     return table
 
@@ -391,22 +419,22 @@ NORBURY_SUPPORTED = {(0, 3), (1, 1), (0, 4), (1, 2)}
 
 def _valence_types(g: int, n: int) -> List[Tuple[int, ...]]:
     """Vertex-valence multisets (parts >= 3) of cells of M_{g,n}^comb."""
+
+    def partitions(total, parts, mx):
+        if parts == 0:
+            if total == 0:
+                yield ()
+            return
+        for p in range(min(total - 3 * (parts - 1), mx), 2, -1):
+            for rest in partitions(total - p, parts - 1, p):
+                yield (p,) + rest
+
     out = []
     e_max = 3 * (2 * g - 2 + n)
     for e in range(1, e_max + 1):
         v = e - (2 * g - 2 + n)
         if v < 1:
             continue
-
-        def partitions(total, parts, mx):
-            if parts == 0:
-                if total == 0:
-                    yield ()
-                return
-            for p in range(min(total - 3 * (parts - 1), mx), 2, -1):
-                for rest in partitions(total - p, parts - 1, p):
-                    yield (p,) + rest
-
         out.extend(sorted(t) for t in partitions(2 * e, v, 2 * e))
     return [tuple(t) for t in out]
 
@@ -414,22 +442,21 @@ def _valence_types(g: int, n: int) -> List[Tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _norbury_cells(g: int, n: int) -> Tuple[Tuple[Tuple[Edge, ...], Fraction], ...]:
     """(edges, weight) of the connected ribbon graphs of type (g, n) with
-    valences >= 3 and s0 canonical, faces numbered in orbit order.  Each
-    graph weighs 1/|Z(s0)|; graphs with the same edge incidences are kept
-    once, with their weights summed."""
+    valences >= 3 and s0 canonical, faces numbered by their smallest dart.
+    Each graph weighs 1/|Z(s0)|; graphs with the same edge incidences are
+    kept once, with their weights summed."""
     if (g, n) not in NORBURY_SUPPORTED:
         raise ValueError(f"unsupported (g, n) = {(g, n)}; supported: {sorted(NORBURY_SUPPORTED)}")
     cells: Dict[Tuple[Edge, ...], Fraction] = {}
     for valences in _valence_types(g, n):
         s0 = canonical_s0(valences)
         w = Fraction(1, centralizer_order(valences))
-        for s1, faces in _connected_maps(s0, fpf_involutions(len(s0))):
+        for s1, face, _first, perim in _connected_maps(s0, fpf_involutions(len(s0))):
             # v - e = 2 - 2g - n by the valence type, so n faces fix the genus
-            if len(faces) != n:
+            if len(perim) != n:
                 continue
-            face_of = {d: i for i, f in enumerate(faces) for d in f}
             edges = tuple(sorted(
-                tuple(sorted(Counter((face_of[d], face_of[s1[d]])).items()))
+                tuple(sorted(Counter((face[d], face[s1[d]])).items()))
                 for d in range(len(s0))
                 if d < s1[d]
             ))

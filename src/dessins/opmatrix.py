@@ -107,21 +107,25 @@ class KernelBlock:
 def _structures(d: int) -> Tuple[Tuple[tuple, int], ...]:
     """((n+, n-, sorted edges, positive perimeters), multiplicity) of each
     distinct connected quadrivalent structure with d vertices on the fixed
-    sign pattern.  Faces are numbered positive first, then negative; each
-    edge borders the face of its even dart and the face of its odd dart."""
+    sign pattern.  Faces are numbered positive first, then negative, each
+    group by smallest dart; each edge borders the face of its even dart and
+    the face of its odd dart."""
     valences = (4,) * d
     n = sum(valences)
     found: Dict[tuple, int] = {}
     for first_image in range(1, n, 2):
-        for s1, faces in maps.sign_pattern_maps(valences, first_image):
-            pos = [f for f in faces if f[0] % 2 == 0]
-            neg = [f for f in faces if f[0] % 2]
-            slot = [0] * n
-            for i, f in enumerate(pos + neg):
-                for dart in f:
-                    slot[dart] = i
-            edges = tuple(sorted(((slot[p], 1), (slot[s1[p]], 1)) for p in range(0, n, 2)))
-            key = (len(pos), len(neg), edges, tuple(len(f) for f in pos))
+        for s1, face, first, perim in maps.sign_pattern_maps(valences, first_image):
+            # a face is positive when its smallest dart is even
+            order = [i for i, f in enumerate(first) if f % 2 == 0]
+            n_pos = len(order)
+            order += [i for i, f in enumerate(first) if f % 2]
+            rank = [0] * len(order)
+            for r, i in enumerate(order):
+                rank[i] = r
+            edges = tuple(sorted(
+                ((rank[face[p]], 1), (rank[face[s1[p]]], 1)) for p in range(0, n, 2)
+            ))
+            key = (n_pos, len(order) - n_pos, edges, tuple(perim[i] for i in order[:n_pos]))
             found[key] = found.get(key, 0) + 1
     return tuple(found.items())
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -140,6 +141,24 @@ def test_json_independent_of_threads(tmp_path, monkeypatch):
         maps.configure_threads(1)
         maps._dessin_table.cache_clear()
     assert outs["1"].read_bytes() == outs["2"].read_bytes() == b'{\n  "oracle": []\n}\n'
+
+
+# sha256 of the `export --what maps` stdout, pinned from commit 2932322, when
+# the shared connected-map step still listed each face's darts
+MAP_DUMP_SHA256 = {
+    (1, 0): "45d0d62c290af6b36df9115d8acf48d85d158d8833962c9e2ef21bdba6e149eb",
+    (2, 0): "f3b84829e61b05596a7bdcb37c7aefcc901f5e4fbe72e914f678094d09525afb",
+    (1, 2): "3745bb8b9a3cc06e8a23fe010fdc0a993c94c26977f7e83ccf17d7c1528ce2f8",
+    (2, 2): "75090342d618a34341b32b6aa53b7c153b6cecf04ec7e9635b318fb0d913ce9f",
+    (3, 1): "2083282aeeae2757b9ca567a0bc6ae18e1d500f1d74c32293bf85ee038613cd1",
+}
+
+
+@pytest.mark.parametrize("v4,v2", list(MAP_DUMP_SHA256))
+def test_export_maps_dump_golden(v4, v2):
+    code, out = run_cli("export", "--what", "maps", "--v4", str(v4), "--v2", str(v2))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MAP_DUMP_SHA256[(v4, v2)]
 
 
 def test_export_maps_dump(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -53,10 +54,18 @@ def test_connected_maps_keep_exactly_the_connected_involutions(valences):
     every = list(maps.fpf_involutions(len(s0)))
     want = [s1 for s1 in every if len(set(components(s0, s1))) == 1]
     got = list(maps._connected_maps(s0, every))
-    assert [s1 for s1, _ in got] == want
-    assert all(faces == maps.face_orbits(s0, s1) for s1, faces in got)
+    assert [s1 for s1, *_ in got] == want
     # some involutions leave a vertex unreached, and they are dropped
     assert len(want) < len(every)
+    for s1, face, first, perim in got:
+        faces = maps.face_orbits(s0, s1)
+        # face i of the labelling holds the darts of the i-th orbit, so the
+        # faces are numbered by their smallest dart
+        assert [sorted(d for d in range(len(s0)) if face[d] == i) for i in range(len(faces))] == [
+            sorted(f) for f in faces
+        ]
+        assert first == [min(f) for f in faces] == sorted(first)
+        assert perim == [len(f) for f in faces]
 
 
 def _centralizer_elements(valences):
@@ -264,3 +273,29 @@ def test_sign_pattern_table_matches_all_involutions():
         want = _reference_table((4,) * v4 + (2,) * v2)
         assert want
         assert maps._dessin_table(v4, v2) == want, (v4, v2)
+
+
+# sha256 of repr(sorted(table.items())) for the 14- and 16-dart tables, which
+# the all-involution reference above does not reach; pinned from the tables of
+# commit 2932322, whose scan read the faces off ``face_orbits``
+TABLE_SHA256 = {
+    (3, 1): "9a6031f4aa3ce5cb8473cc45a169f12fc1e1c2ec74997df1f41ec11fe676958a",
+    (2, 3): "3149f6abb77fba7433d8d601065d8e815c7e04d2cf843005144d1d84655a1716",
+    (1, 5): "b99e995d23b46c350fb8a04b74f5e5565a132c459592c98563cc54df0c33706e",
+    (0, 7): "169b071a784116da1759ce17055b7c866cbb8aed8aec35a2ed53028572966e03",
+    (4, 0): "d4988560918fe50466bf8a21c74bb17d2714e15ffdf134f5506196eba3f0558b",
+    (3, 2): "0f2ebe8c1423d9cf9df4f6984129b11891978ab08026a5bb284f907f0e63c4d1",
+    (2, 4): "93ea36986b0ecb015b674f475c135a82f7364bd940e3d4fb47aa8ea243f933ea",
+    (1, 6): "9d15201c20936c1884086b2e196bfcb7b373cc71fba7b3d087e87581f90b96be",
+    (0, 8): "e0378e56830c255b3af0876bd8881d4d8f7d19b12464efa15a0e5fccc023b6d7",
+}
+
+
+@pytest.mark.parametrize("v4,v2", list(TABLE_SHA256))
+def test_dessin_table_golden(v4, v2):
+    assert set(TABLE_SHA256) == {
+        (a, b) for a in range(5) for b in range(9) if 4 * a + 2 * b in (14, 16)
+    }
+    table = maps._dessin_table(v4, v2)
+    got = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+    assert got == TABLE_SHA256[(v4, v2)]
