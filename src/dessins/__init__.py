@@ -35,7 +35,7 @@ from .partition import (
     partition_function_bivalent,
     virasoro_residuals,
 )
-from .tutte import catalan, r_tilde, r_tilde_nc
+from .tutte import r_tilde, r_tilde_nc
 from .maps import (
     DirectedMap,
     EnumSpec,

@@ -21,13 +21,15 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from . import maps, opmatrix, partition as pt, spectral, tutte
 from . import operators as ops
-from .series import mu_factorial, sorted_multi
+from .series import Monomial, mu_factorial, sorted_multi
 
 
 EXIT_OK = 0
@@ -236,25 +238,17 @@ def _suite_adjoint(args) -> List[str]:
     return [f for block in blocks for f in opmatrix.adjoint_check(*block)]
 
 
-TUTTE_CONNECTED_SUM_MAX = 14
-
-
-def _suite_tutte(args) -> List[str]:
+def _agree(keys: Iterable, routes: Dict[str, Callable]) -> List[str]:
+    """One finding "<key>: <route> <got> != flow <want>" per key and route that
+    disagrees with the first route, the flow; in key order, then route order."""
+    (ref, reference), *others = routes.items()
     out = []
-    z = pt.partition_function(min(args.dmax, 4))
-    for d in range(min(args.dmax, 4) + 1):
-        layer = z.layer(d)
-        for mono, coeff in layer.terms.items():
-            parts = mono.partition()
-            if tutte.r_tilde_nc(parts, d) != coeff * mu_factorial(parts):
-                out.append(f"layer {d} monomial {mono.as_str()}: tutte route disagrees")
-    # the connected series against the connected recursion on every stable
-    # key with sum(alpha) <= 14 (506 keys), past the brute-force window
-    s_max = TUTTE_CONNECTED_SUM_MAX
-    c = pt.connected(pt.partition_function(s_max // 2, with_marker=True))
-    for key in _oracle_keys(s_max):
-        if tutte.r_tilde(key.g, key.n_plus, key.alpha) != prod(key.alpha) * pt.count(c, key):
-            out.append(f"{key}: tutte route != connected series")
+    for key in keys:
+        want = reference(key)
+        for name, route in others:
+            got = route(key)
+            if got != want:
+                out.append(f"{key}: {name} {got} != {ref} {want}")
     return out
 
 
@@ -274,22 +268,39 @@ def _enumerated(key: pt.CountKey):
     )
 
 
+def _tutte_count(key: pt.CountKey) -> Fraction:
+    """The Tutte route's count of ``key``: for fixed (g, alpha) the edge-count
+    identity pins n_minus, so r_tilde(g, n, alpha) = prod(alpha) * count(key)."""
+    return Fraction(tutte.r_tilde(key.g, key.n_plus, key.alpha), prod(key.alpha))
+
+
+TUTTE_CONNECTED_SUM_MAX = 16
+
+
+def _suite_tutte(args) -> List[str]:
+    # mu! [t^mu q^d] Z against the non-connected recursion on every partition
+    # mu of 2d, so a monomial the flow lost is a finding too
+    d_max = min(args.dmax, 4)
+    z = pt.partition_function(d_max)
+    partitions = [mu for d in range(d_max + 1) for n in range(2 * d + 1)
+                  for mu in sorted_multi(2 * d, n, 1)]
+    out = _agree(partitions, {
+        "flow": lambda mu: z.layer(sum(mu) // 2).coeff(Monomial(Counter(mu))) * mu_factorial(mu),
+        "tutte": lambda mu: tutte.r_tilde_nc(mu, sum(mu) // 2),
+    })
+    # the connected series against the connected recursion on every stable
+    # key with sum(alpha) <= 16 (1,003 keys), past the brute-force window
+    c = _connected_series(TUTTE_CONNECTED_SUM_MAX // 2, 0)
+    return out + _agree(_oracle_keys(TUTTE_CONNECTED_SUM_MAX),
+                        {"flow": lambda key: pt.count(c, key), "tutte": _tutte_count})
+
+
 def _suite_oracle(args) -> List[str]:
-    # three-route agreement on every stable key with sum(alpha) <= s_max;
-    # for fixed (g, alpha) the edge-count identity pins n_minus, so
-    # r_tilde(g, n, alpha) = prod(alpha) * count(key) term by term
-    out = []
-    s_max = args.s_max
-    d_max = s_max // 2
-    c = pt.connected(pt.partition_function(d_max, with_marker=True))
-    for key in _oracle_keys(s_max):
-        want = pt.count(c, key)
-        got = _enumerated(key)
-        if got != want:
-            out.append(f"{key}: enumeration {got} != partition {want}")
-        if tutte.r_tilde(key.g, key.n_plus, key.alpha) != prod(key.alpha) * want:
-            out.append(f"{key}: tutte route != partition route")
-    return out
+    # three-route agreement on every stable key with sum(alpha) <= s_max
+    c = _connected_series(args.s_max // 2, 0)
+    return _agree(_oracle_keys(args.s_max), {
+        "flow": lambda key: pt.count(c, key), "brute force": _enumerated, "tutte": _tutte_count,
+    })
 
 
 def _suite_bivalent(args) -> List[str]:
@@ -301,17 +312,11 @@ def _suite_bivalent(args) -> List[str]:
     out.extend(f"[W0,W1] residual at {m.as_str()}" for m, _ in res)
     b1 = pt.partition_function_bivalent(3, 3)
     b2 = pt.partition_function_bivalent(3, 3, q1_first=True)
-    for k in set(b1.layers) | set(b2.layers):
-        if b1.layers.get(k) != b2.layers.get(k):
-            out.append(f"bivalent flow order disagrees at layer {k}")
-    c = pt.connected(pt.partition_function_bivalent(v2_max, v4_max, with_marker=True))
-    for v2 in range(v2_max + 1):
-        for key in _oracle_keys(2 * v4_max, v2):
-            want = pt.count(c, key)
-            got = _enumerated(key)
-            if want != got:
-                out.append(f"bivalent {key}: enumeration {got} != partition {want}")
-    return out
+    out += _agree(sorted(b1.layers.keys() | b2.layers.keys()),
+                  {"flow": b1.layers.get, "q1-first flow": b2.layers.get})
+    c = _connected_series(v4_max, v2_max)
+    keys = (key for v2 in range(v2_max + 1) for key in _oracle_keys(2 * v4_max, v2))
+    return out + _agree(keys, {"flow": lambda key: pt.count(c, key), "brute force": _enumerated})
 
 
 def _suite_loop(args) -> List[str]:
@@ -507,9 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma list from: {','.join(VERIFY_SUITES)},all; a suite named twice runs once",
     )
     p.add_argument("--deg-cap", dest="deg_cap", type=_at_least(0), default=10)
-    p.add_argument("--dmax", type=_at_least(0), default=4)
+    p.add_argument("--dmax", type=_at_least(1), default=4)
     p.add_argument("--order", type=_at_least(0), default=8)
-    p.add_argument("--s-max", dest="s_max", type=_at_least(0), default=8)
+    p.add_argument("--s-max", dest="s_max", type=_at_least(2), default=8)
     p.add_argument("--n-budget", dest="n_budget", type=_at_least(0), default=DART_BUDGET)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)

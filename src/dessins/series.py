@@ -323,17 +323,6 @@ def accumulate_product(
             acc[m] = acc.get(m, 0) + f1 * n2
 
 
-def parse_poly(pairs: Iterable[Tuple[Mapping[Key, int], object]]) -> Poly:
-    """Build a Poly from (exponent-map, coefficient) pairs."""
-    t: Dict[Monomial, Fraction] = {}
-    for em, c in pairs:
-        m = Monomial(em)
-        c = _fr(c)
-        s = t.get(m)
-        t[m] = c if s is None else s + c
-    return Poly(t)
-
-
 # ---------------------------------------------------------------------------
 # multi-indices
 # ---------------------------------------------------------------------------

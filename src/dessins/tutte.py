@@ -26,7 +26,7 @@ return ``int``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, Tuple
+from typing import Sequence, Tuple
 
 Partition = Tuple[int, ...]  # sorted parts, multiplicities expanded
 
@@ -108,27 +108,15 @@ def _r_nc(mu: Partition) -> int:
     return total
 
 
-def r_tilde_nc(mu: Dict[int, int] | Iterable[int], d: int) -> int:
+def r_tilde_nc(mu: Sequence[int], d: int) -> int:
     """mu! [t^mu q^d] of the non-connected partition function.
 
-    ``mu`` is a partition (map part -> multiplicity, or iterable of parts);
-    zero whenever sum(mu) != 2d.
+    ``mu`` is the parts of a partition; zero whenever sum(mu) != 2d.
     """
-    if isinstance(mu, dict):
-        parts = []
-        for part, mult in mu.items():
-            parts.extend([part] * mult)
-    else:
-        parts = list(mu)
-    if any(p < 0 for p in parts) or d < 0:
+    if any(p < 0 for p in mu) or d < 0:
         return 0
-    parts = tuple(sorted(p for p in parts if p > 0))
+    parts = tuple(sorted(p for p in mu if p > 0))
     if sum(parts) != 2 * d:
         return 0
     return _r_nc(parts)
 
-
-def catalan(k: int) -> int:
-    from math import comb
-
-    return comb(2 * k, k) // (k + 1)

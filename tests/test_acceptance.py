@@ -14,7 +14,8 @@ import pytest
 from dessins import maps, opmatrix, spectral, tutte
 from dessins import operators as ops
 from dessins import partition as pt
-from dessins.series import MARKER_NEG, Monomial, Poly, parse_poly
+from dessins.series import MARKER_NEG, Monomial, Poly
+from helpers import catalan, parse_poly
 
 
 def _report(num, text, t0):
@@ -27,7 +28,7 @@ def test_criterion_01_catalan_disc_three_routes():
     z = pt.partition_function(5, with_marker=True)
     c = pt.connected(z)
     for k in range(6):
-        cat = tutte.catalan(k)
+        cat = catalan(k)
         assert tutte.r_tilde(0, 1, (2 * k,)) == cat
         assert u[2 * k + 1] == cat
         if k == 0:

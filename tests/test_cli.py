@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dessins import cli, maps, opmatrix
+from dessins import cli, maps, opmatrix, tutte
 from dessins import partition as pt
+from dessins.series import Poly
 
 
 def run_cli(*argv):
@@ -231,6 +233,11 @@ def test_export_correlator_json(tmp_path):
         ("verify", "--suites", "witt", "--dmax", "-5"),
         ("verify", "--suites", "virasoro", "--dmax", "-5"),
         ("verify", "--suites", "oracle", "--s-max", "-1"),
+        # windows that would compare nothing: no stable key has a total
+        # below 2, and Virasoro checks no degree at --dmax 0
+        ("verify", "--suites", "oracle", "--s-max", "0"),
+        ("verify", "--suites", "oracle", "--s-max", "1"),
+        ("verify", "--suites", "virasoro", "--dmax", "0"),
         ("export", "--what", "maps", "--n-budget", "-1"),
         ("--threads", "0", "zfun", "--dmax", "1"),
         ("--threads", "-1", "zfun", "--dmax", "1"),
@@ -361,7 +368,22 @@ def test_bivalent_suite_finds_a_key_the_map_walk_lost(monkeypatch):
 
     monkeypatch.setattr(maps, "_dessin_table", table_without_one_key)
     findings = cli._suite_bivalent(args)
-    assert len(findings) == 1 and "enumeration 0 != partition" in findings[0]
+    assert len(findings) == 1 and ": brute force 0 != flow " in findings[0]
+
+
+def test_bivalent_suite_finds_a_layer_the_flow_order_changed(monkeypatch):
+    args = cli.build_parser().parse_args(["verify", "--suites", "bivalent"])
+    real_flow = pt.partition_function_bivalent
+
+    def q1_first_off(d0_max, d1_max, with_marker=False, q1_first=False):
+        z = real_flow(d0_max, d1_max, with_marker, q1_first)
+        if q1_first:
+            z.layers[(1, 1)] = z.layer(1, 1) + Poly.one()
+        return z
+
+    monkeypatch.setattr(pt, "partition_function_bivalent", q1_first_off)
+    findings = cli._suite_bivalent(args)
+    assert len(findings) == 1 and findings[0].startswith("(1, 1): q1-first flow ")
 
 
 def test_tr_at_degree_budget_runs():
@@ -444,16 +466,51 @@ def test_each_suite_declares_the_darts_of_its_largest_map_walk(monkeypatch):
         assert max(darts) == declared(args), name
 
 
-def test_tutte_suite_checks_connected_series_through_sum_14(monkeypatch):
+def test_tutte_suite_checks_connected_series_through_sum_16(monkeypatch):
     args = cli.build_parser().parse_args(["verify", "--suites", "tutte"])
     assert cli._suite_tutte(args) == []
     keys = list(cli._oracle_keys(cli.TUTTE_CONNECTED_SUM_MAX))
-    assert len(keys) == 506 and max(sum(k.alpha) for k in keys) == 14
-    # one coefficient of the connected series off by one, at sum(alpha) = 14
-    bumped = pt.CountKey(2, 1, 4, (14,))
+    assert len(keys) == 1003 and max(sum(k.alpha) for k in keys) == 16
+    # one coefficient of the connected series off by one, at sum(alpha) = 16
+    bumped = pt.CountKey(2, 1, 5, (16,))
     real_count = pt.count
     monkeypatch.setattr(pt, "count", lambda c, key: real_count(c, key) + (key == bumped))
-    assert cli._suite_tutte(args) == [f"{bumped}: tutte route != connected series"]
+    want = Fraction(tutte.r_tilde(2, 1, (16,)), 16)
+    assert cli._suite_tutte(args) == [f"{bumped}: tutte {want} != flow {want + 1}"]
+
+
+def test_tutte_suite_finds_a_partition_the_flow_lost(monkeypatch):
+    args = cli.build_parser().parse_args(["verify", "--suites", "tutte"])
+    real_flow = pt.partition_function
+
+    def flow_without_t2_squared(d_max, with_marker=False):
+        z = real_flow(d_max, with_marker)
+        kept = {m: c for m, c in z.layer(2).terms.items() if m.partition() != (2, 2)}
+        return pt.QSeries({**z.layers, (0, 2): Poly(kept)}, marker=z.marker)
+
+    monkeypatch.setattr(pt, "partition_function", flow_without_t2_squared)
+    # 2! [t2^2 q^2] Z = 3: the connected 2 and the split pair of discs
+    assert cli._suite_tutte(args) == ["(2, 2): tutte 3 != flow 0"]
+
+
+def test_agree_names_each_key_and_route_off_the_flow():
+    keys = range(4)
+    one_off = {"flow": lambda k: k, "a": lambda k: k + (k == 2), "b": lambda k: k}
+    assert cli._agree(keys, one_off) == ["2: a 3 != flow 2"]
+    # a reference that is off disagrees with every other route
+    flow_off = {"flow": lambda k: k + (k == 1), "a": lambda k: k, "b": lambda k: k}
+    assert cli._agree(keys, flow_off) == ["1: a 1 != flow 2", "1: b 1 != flow 2"]
+
+
+@pytest.mark.parametrize("route, name", [("_enumerated", "brute force"), ("_tutte_count", "tutte")])
+def test_oracle_suite_finds_one_route_off_on_one_key(monkeypatch, route, name):
+    args = cli.build_parser().parse_args(["verify", "--suites", "oracle", "--s-max", "6"])
+    bumped = pt.CountKey(1, 1, 1, (4,))
+    assert bumped in set(cli._oracle_keys(args.s_max))
+    real_route = getattr(cli, route)
+    monkeypatch.setattr(cli, route, lambda key: real_route(key) + (key == bumped))
+    want = real_route(bumped)
+    assert cli._suite_oracle(args) == [f"{bumped}: {name} {want + 1} != flow {want}"]
 
 
 def _run_module(argv, timeout=None):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from dessins import operators as ops
 from dessins import opmatrix
 from dessins import partition as pt
-from dessins.series import MARKER_NEG, Monomial, Poly, parse_poly
+from dessins.series import MARKER_NEG, Monomial, Poly
+from helpers import parse_poly
 
 
 def P(*pairs):

@@ -7,7 +7,8 @@ import pytest
 from dessins import maps
 from dessins import operators as ops
 from dessins import partition as pt
-from dessins.series import MARKER_NEG, Monomial, Poly, mu_factorial, parse_poly
+from dessins.series import MARKER_NEG, Monomial, Poly, mu_factorial
+from helpers import parse_poly
 
 
 def P(*pairs):

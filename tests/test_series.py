@@ -14,8 +14,8 @@ from dessins.series import (
     Poly,
     accumulate_product,
     distinct_permutations,
-    parse_poly,
 )
+from helpers import parse_poly
 
 
 def P(*pairs):

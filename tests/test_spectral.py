@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dessins import spectral as sp
-from dessins import tutte
+from helpers import catalan
 
 
 def test_w01_equals_disc_series():
     w = sp.laplace_W(0, 1, 12)
     u = sp.solve_disc(6)
     for k in range(6):
-        assert w.value((2 * k,)) == u[2 * k + 1] == tutte.catalan(k)
+        assert w.value((2 * k,)) == u[2 * k + 1] == catalan(k)
 
 
 rationals = st.builds(

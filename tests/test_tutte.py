@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dessins import partition as pt
 from dessins import tutte
 from dessins.series import mu_factorial, sorted_multi
+from helpers import catalan
 
 
 def test_seed_and_disc_values():
@@ -16,7 +17,7 @@ def test_seed_and_disc_values():
     assert tutte.r_tilde(0, 1, (4,)) == 2
     assert tutte.r_tilde(0, 1, (3,)) == 0
     assert [tutte.r_tilde(0, 1, (2 * k,)) for k in range(7)] == [
-        tutte.catalan(k) for k in range(7)
+        catalan(k) for k in range(7)
     ]
 
 
@@ -40,12 +41,12 @@ def test_symmetry_under_permutation(alpha):
 
 
 def test_nc_examples():
-    assert tutte.r_tilde_nc({}, 0) == 1
-    assert tutte.r_tilde_nc({4: 1}, 2) == 3
+    assert tutte.r_tilde_nc((), 0) == 1
+    assert tutte.r_tilde_nc((4,), 2) == 3
     # non-connected value: connected 2 plus the split pair 1
-    assert tutte.r_tilde_nc({2: 2}, 2) == 3
-    assert tutte.r_tilde_nc({2: 1}, 2) == 0  # wrong degree
-    assert tutte.r_tilde_nc({3: 1}, 2) == 0  # parity
+    assert tutte.r_tilde_nc((2, 2), 2) == 3
+    assert tutte.r_tilde_nc((2,), 2) == 0  # wrong degree
+    assert tutte.r_tilde_nc((3,), 2) == 0  # parity
 
 
 def test_nc_zero_parts_are_cylinders():
