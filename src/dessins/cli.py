@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -51,8 +52,8 @@ FLOW_DEPTH_BUDGET = 10
 
 # largest --deg-cap a verify request may give the commutator suites (witt,
 # bivalent), which also cap each variable index at it; a verify --suites witt
-# process takes about 2.0 s at 14 on a 2-core Intel Xeon VM (Python 3.11.7),
-# and each 2 more multiply the time by about 1.8
+# process takes 1.2-1.5 s at 14 on a 2-core 2.0 GHz Intel Xeon VM (Python
+# 3.11.7), and each 2 more multiply the time by about 1.7
 COMMUTATOR_DEG_BUDGET = 14
 
 # largest Euler degree 2g - 2 + n a tr request may ask for;
@@ -84,6 +85,19 @@ def _emit(text: str | Iterable[str], out_path: str | None):
             fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
+
+
+def _out_problem(out_path: str) -> str | None:
+    """Why ``--out out_path`` cannot be written, or None; found without
+    creating or truncating any file."""
+    folder = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        return f"--out {out_path} is a directory"
+    if not os.path.isdir(folder):
+        return f"--out {out_path}: no directory {folder}"
+    if not os.access(out_path if os.path.exists(out_path) else folder, os.W_OK):
+        return f"--out {out_path} is not writable"
+    return None
 
 
 def _json_dumps(obj) -> str:
@@ -555,6 +569,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 2 after its usage message, 0 after --help
         return exc.code
+    # every command has --out; an unwritable one fails before any work
+    problem = args.out and _out_problem(args.out)
+    if problem:
+        return _usage_error(problem)
     try:
         maps.configure_threads(args.threads)
         return args.fn(args)

@@ -13,17 +13,20 @@ one shared operator per argument value, so each group is built once per
 process, however many flows and checks meet it.
 
 The checks (``commutator_check`` here, ``opmatrix.cutjoin_matrix_check``)
-never apply an operator to a multi-term polynomial.  Each monomial held by
-a memoized image gets an integer id, once per process, and each operator
-keeps, next to its groups, the image of every monomial it has met, keyed by
-id: the ids of its monomials and their integer numerators over its ``den``.
-``composition_residual`` walks each chain such as a(b(m)) down from m and
-adds every part straight into one id-keyed accumulator over one common
-denominator, so each operator acts on each monomial once per process,
+never apply an operator to a multi-term polynomial.  One table per process
+gives an integer id to each exponent tuple an image meets, and each
+operator keeps, next to its groups, the image of every monomial it has met,
+keyed by id: the ids of its monomials and their integer numerators over its
+``den``.  An image builds a ``Monomial`` only for a product no image has
+met before.  ``composition_residuals`` takes a whole basis and a list of
+parts c * (o_1 ... o_k): it finds their common denominator and integer
+factors once, then walks each chain such as a(b(m)) right to left, one
+operator at a time, adding every part into one id-keyed accumulator per
+basis monomial.  So each operator acts on each monomial once per process,
 however many checks meet it, and the hot loop hashes only ints.
 ``basis_monomials`` builds the basis of each window once per process.
-``apply`` does not fill the image memo (a flow meets each monomial once),
-but it shares the inner loop ``_image_into`` with it.
+``apply`` keeps no image (a flow meets each monomial once), but it shares
+the one per-monomial loop ``_image_into`` with the images.
 
 Available constructors:
 
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm, perm
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple, TypeVar
 
 from .series import MONO_ONE, Exps, Monomial, Poly, _merged
 
@@ -63,6 +66,9 @@ Coeffs = Dict[Monomial, Fraction]
 # one memoized pattern group: the pattern's weighted degree and the
 # (numerator over the operator's den, monomial) pairs that multiply it
 Group = Tuple[int, Tuple[Tuple[int, Monomial], ...]]
+
+# the key of a product in ``_image_into``: a monomial, or its id
+K = TypeVar("K")
 
 
 @dataclass(frozen=True)
@@ -78,16 +84,23 @@ class DiffTerm:
 # over the operator's den, in two parallel tuples
 Image = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-# the id of each monomial held by some memoized image, and the monomial of
-# each id, so the images share their monomials and key them by plain ints
-_MONO_IDS: Dict[Monomial, int] = {}
+# the id of each exponent tuple met by an image, and the monomial of each id:
+# one table per process, so the images share their monomials, key them by
+# plain ints and build the monomial of each product once
+_IDS: Dict[Exps, int] = {}
 _MONOS: List[Monomial] = []
 
 
+def _new_id(exps: Exps, degree: int) -> int:
+    """The id of a monomial not in ``_IDS`` yet; the caller enters it there."""
+    _MONOS.append(Monomial._raw(exps, degree))
+    return len(_MONOS) - 1
+
+
 def _mono_id(m: Monomial) -> int:
-    i = _MONO_IDS.get(m)
+    i = _IDS.get(m.exps)
     if i is None:
-        i = _MONO_IDS[m] = len(_MONOS)
+        i = _IDS[m.exps] = len(_MONOS)
         _MONOS.append(m)
     return i
 
@@ -133,11 +146,10 @@ class DiffOp:
         kept for the life of the operator."""
         hit = self._images.get(i)
         if hit is None:
-            acc: Dict[Monomial, int] = {}
-            _image_into(acc, {}, self, _MONOS[i], 1)
+            acc: Dict[int, int] = {}
+            _image_into(acc, _IDS, _new_id, self, _MONOS[i], 1)
             items = [(k, v) for k, v in acc.items() if v]
-            ids = tuple(_mono_id(k) for k, _ in items)
-            hit = self._images[i] = (ids, tuple(v for _, v in items))
+            hit = self._images[i] = (tuple(k for k, _ in items), tuple(v for _, v in items))
         return hit
 
     def __repr__(self):
@@ -198,12 +210,15 @@ def _derive(m: Monomial, ders: Ders, weight: int) -> Tuple[int, Monomial]:
 
 
 def _image_into(
-    acc: Dict[Monomial, int], made: Dict[Exps, Monomial], op: DiffOp, m: Monomial, c: int
+    acc: Dict[K, int], made: Dict[Exps, K], new: Callable[[Exps, int], K],
+    op: DiffOp, m: Monomial, c: int,
 ) -> None:
     """Add ``c`` times the image of ``m`` under ``op`` to ``acc``, as
-    numerators over ``op.den``.  ``made`` holds the monomial of each
-    exponent tuple built so far in this call of the kernel, so that each
-    distinct product monomial is built once."""
+    numerators over ``op.den``, each product under its key in ``made``.
+    ``made`` holds the key of each exponent tuple met so far, and
+    ``new(exps, degree)`` makes the key of a new one, so that the key of
+    each distinct product is made once: a monomial per call of ``apply``,
+    an id per process for the images."""
     groups = op._groups
     for ders, _ in _patterns(m, op.order):
         group = groups.get(ders)
@@ -222,7 +237,7 @@ def _image_into(
             exps = _merged(de, mono.exps)
             nm = made.get(exps)
             if nm is None:
-                nm = made[exps] = Monomial._raw(exps, dd + mono.degree)
+                nm = made[exps] = new(exps, dd + mono.degree)
             acc[nm] = acc.get(nm, 0) + cm * coeff
 
 
@@ -238,7 +253,7 @@ def _apply_divided(op: DiffOp, p: Poly, div: int) -> Poly:
     acc: Dict[Monomial, int] = {}
     made: Dict[Exps, Monomial] = {}
     for m, c in nums.items():
-        _image_into(acc, made, op, m, c)
+        _image_into(acc, made, Monomial._raw, op, m, c)
     return Poly.from_numerators(acc, den * op.den * div)
 
 
@@ -450,29 +465,19 @@ def _basis(deg_cap: int, var_cap: int, t0_cap: int) -> Tuple[Monomial, ...]:
     return tuple(rec(min(var_cap, deg_cap), deg_cap, {}))
 
 
-def _chain_into(acc: Dict[int, int], chain: Tuple[DiffOp, ...], n: int, i: int, f: int) -> None:
-    """Add ``f`` times the image of the monomial with id ``i`` under the
-    first ``n`` operators of ``chain``, applied right to left, to ``acc``,
-    as numerators over the product of their dens."""
-    op = chain[n - 1]
-    ids, nums = op.image(i)
-    if n == 1:
-        for k, v in zip(ids, nums):
-            acc[k] += f * v
-    else:
-        for k, v in zip(ids, nums):
-            _chain_into(acc, chain, n - 1, k, f * v)
+def composition_residuals(
+    basis: Iterable[Monomial], parts: List[Tuple[Fraction, Tuple[DiffOp, ...]]]
+) -> Iterator[Tuple[Monomial, Poly]]:
+    """(m, sum c * (o_1 o_2 ... o_k)(m) over ``parts``) for each monomial m
+    of ``basis`` where that sum does not vanish; each part is a coefficient
+    and a chain of operators applied right to left.
 
-
-def composition_residual(
-    m: Monomial, parts: List[Tuple[Fraction, Tuple[DiffOp, ...]]]
-) -> Poly | None:
-    """sum c * (o_1 o_2 ... o_k)(m) over ``parts``, each a coefficient and a
-    chain of operators applied right to left; None when it vanishes.
-
-    Every operator acts only on single monomials, through its memoized
-    images, and every part is added into one accumulator over one common
-    denominator; a ``Poly`` is built only for a nonzero residual.
+    The common denominator and the integer factor of each part are found
+    once per call.  Each chain is walked right to left, one operator at a
+    time, on the memoized images: the first operator's image of m needs no
+    merging, the terms after each further inner operator are merged by id,
+    and the last operator adds straight into one accumulator for m.  A
+    ``Poly`` is built only for a nonzero residual.
     """
     parts = [(c, chain) for c, chain in parts if c]
     dens = []
@@ -482,13 +487,37 @@ def composition_residual(
             d *= op.den
         dens.append(d)
     den = lcm(*dens)
-    i = _mono_id(m)
-    acc: Dict[int, int] = defaultdict(int)
-    for (c, chain), d in zip(parts, dens):
-        _chain_into(acc, chain, len(chain), i, c.numerator * (den // d))
-    if not any(acc.values()):
-        return None
-    return Poly.from_numerators({_MONOS[k]: v for k, v in acc.items()}, den)
+    # each part's integer factor over den, and its operators in the order
+    # they act
+    plan = [(c.numerator * (den // d), chain[::-1]) for (c, chain), d in zip(parts, dens)]
+    for m in basis:
+        i = _mono_id(m)
+        acc: Dict[int, int] = defaultdict(int)
+        for f, steps in plan:
+            first = steps[0]
+            ids, nums = first._images.get(i) or first.image(i)
+            if len(steps) == 1:
+                for k, n in zip(ids, nums):
+                    acc[k] += f * n
+                continue
+            terms = zip(ids, nums)
+            for op in steps[1:-1]:
+                merged: Dict[int, int] = defaultdict(int)
+                images = op._images
+                for k, v in terms:
+                    ids, nums = images.get(k) or op.image(k)
+                    for j, n in zip(ids, nums):
+                        merged[j] += v * n
+                terms = merged.items()
+            last = steps[-1]
+            images = last._images
+            for k, v in terms:
+                fv = f * v
+                ids, nums = images.get(k) or last.image(k)
+                for j, n in zip(ids, nums):
+                    acc[j] += fv * n
+        if any(acc.values()):
+            yield m, Poly.from_numerators({_MONOS[k]: v for k, v in acc.items()}, den)
 
 
 def commutator_check(
@@ -504,16 +533,11 @@ def commutator_check(
 
     Every application is exact, so a nonzero residual is a genuine finding.
     Each operator acts on each monomial at most once per process (see
-    ``composition_residual``).
+    ``composition_residuals``).
     """
     scale = Fraction(scale)
     basis = basis_monomials(deg_cap, var_cap, t0_cap)
     parts = [(Fraction(1), (a, b)), (Fraction(-1), (b, a))]
     if expect is not None and scale != 0:
         parts.append((-scale, (expect,)))
-    residuals = []
-    for m in basis:
-        res = composition_residual(m, parts)
-        if res is not None:
-            residuals.append((m, res))
-    return residuals
+    return list(composition_residuals(basis, parts))

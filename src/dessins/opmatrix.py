@@ -230,10 +230,9 @@ def cutjoin_matrix_check(d_max: int, cap: int, deg_cap: int = 4, t0_cap: int = 4
     for d in range(1, d_max + 1):
         deg = min(deg_cap, cap - 2 * d)
         parts = [(Fraction(d), (k[d],)), (Fraction(-1), (w1, k[d - 1]))]
-        for m in ops.basis_monomials(deg, deg_cap, t0_cap):
-            diff = ops.composition_residual(m, parts)
-            if diff is not None:
-                findings.append(f"d={d} monomial {m.as_str()}: residual {diff.as_str()}")
+        basis = ops.basis_monomials(deg, deg_cap, t0_cap)
+        for m, diff in ops.composition_residuals(basis, parts):
+            findings.append(f"d={d} monomial {m.as_str()}: residual {diff.as_str()}")
     return findings
 
 

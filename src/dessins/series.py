@@ -11,7 +11,8 @@ product monomial's exponent tuple is one merge of its factors' sorted
 tuples (``_merged``), never a sort.  Each kernel call keeps the monomial of
 every exponent tuple it has built, so each distinct product is built once
 per call and the accumulator finds it by identity; the table lives only for
-that call, so no process-wide table of monomials grows.
+that call.  Only the memoized operator images keep one table for the
+process, from exponent tuple to an integer id (see ``operators``).
 
 ``Monomial`` / ``Poly`` are exact sparse multivariate polynomials in
 variables ``t1, t2, ...`` (variable ``i`` carries *weighted degree* ``i``),

@@ -254,6 +254,8 @@ def test_export_correlator_json(tmp_path):
         # a usage error comes before any budget check
         ("verify", "--suites", "nosuch", "--order", "99"),
         ("verify", "--suites", ",", "--deg-cap", "99"),
+        # an --out that cannot be written fails before any work
+        ("verify", "--suites", "witt", "--out", "/nonexistent/dir/v.json"),
     ],
     ids=" ".join,
 )
@@ -265,6 +267,29 @@ def test_bad_input_exits_usage_with_message(argv):
 def test_main_returns_usage_code_in_process(argv, capsys):
     assert cli.main(list(argv)) == cli.EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("zfun", "--dmax", "1"),
+    ("counts", "--alpha", "2"),
+    ("verify", "--suites", "witt"),
+    ("tr", "--g", "0", "--n", "3"),
+    ("export", "--what", "kernel"),
+], ids=" ".join)
+def test_unwritable_out_exits_usage_before_any_work(argv, tmp_path, capsys):
+    # a folder, and a file in a missing folder; verify would print PASS
+    for out in (tmp_path, tmp_path / "missing" / "o.json"):
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: --out {out}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_budget_exit_creates_no_out_file(tmp_path):
+    out = tmp_path / "v.json"
+    argv = ["verify", "--suites", "witt", "--deg-cap", "99", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    assert not out.exists()
 
 
 def test_export_counts_at_the_largest_nplus_of_its_s_max():

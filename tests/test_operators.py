@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dessins import operators as ops
@@ -316,7 +316,7 @@ def test_negative_basis_caps_raise(caps):
 
 
 # ---------------------------------------------------------------------------
-# composition_residual on chains of each length, and the cached basis
+# composition_residuals on chains of each length, and the cached basis
 # ---------------------------------------------------------------------------
 
 
@@ -337,23 +337,23 @@ def _mixed_chains(length):
     a cold operator that only it holds."""
     w, l0, g = ops.w1(), ops.scaled(L(0), Fraction(1, 3)), _growing_den_op()
     zero = dataclasses.replace(ops.w0())
-    chains = [(w, l0, g), (g, w, l0), (l0, g, w)]
+    chains = [(w, l0, g, l0), (g, w, l0, g), (l0, g, w, w)]
     coeffs = [Fraction(1), Fraction(-7, 4), Fraction(2, 3)]
     parts = [(c, chain[:length]) for c, chain in zip(coeffs, chains)]
     return parts + [(Fraction(0), (zero,) * length)], zero
 
 
-@pytest.mark.parametrize("length", [1, 2, 3])
+# lengths 1 and 2 take the walk's short paths, 3 and 4 merge the terms
+# between inner operators by id
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
 def test_composition_residual_matches_apply_on_chains(length):
     parts, zero = _mixed_chains(length)
-    nonzero = 0
-    for m in ops.basis_monomials(5, 5, 2):
-        got, want = ops.composition_residual(m, parts), _chain_reference(m, parts)
-        assert got == want
-        if want is not None:
-            nonzero += 1
-            assert got.as_str() == want.as_str()
-    assert nonzero and not zero._images
+    basis = list(ops.basis_monomials(5, 5, 2))
+    want = [(m, r) for m in basis if (r := _chain_reference(m, parts)) is not None]
+    got = list(ops.composition_residuals(basis, parts))
+    assert want and got == want
+    assert _as_text(got) == _as_text(want)
+    assert not zero._images
 
 
 def _basis_reference(deg_cap, var_cap, t0_cap):
@@ -440,6 +440,21 @@ _SHARED = {}
 def test_apply_matches_reference_loop(name, p):
     op = _SHARED.setdefault(name, OPERATORS[name]())
     assert ops.apply(op, p) == _reference_apply(op, p)
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+@given(exps=_monomials)
+@example(exps={0: 2, MARKER_NEG: 1, 2: 1})
+@settings(max_examples=25, deadline=None)
+def test_image_matches_apply(name, exps):
+    # the memoized id-keyed image of one monomial, over the operator's den,
+    # is the flow's image of that monomial
+    op = _SHARED.setdefault(name, OPERATORS[name]())
+    m = Monomial(exps)
+    ids, nums = op.image(ops._mono_id(m))
+    assert all(ops._IDS[ops._MONOS[k].exps] == k for k in ids)
+    got = Poly({ops._MONOS[k]: Fraction(n, op.den) for k, n in zip(ids, nums)})
+    assert got == ops.apply(op, Poly({m: Fraction(1)}))
 
 
 def _fresh(name):
