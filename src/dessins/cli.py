@@ -38,10 +38,9 @@ EXIT_RESIDUAL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# largest dart count N of a brute-force map walk, the default of --n-budget
-# on verify and export; export --what maps --v4 4 walks all 15!! ~ 2.0e6 edge
-# pairings of 16 darts in about a minute on a 2-core VM, and each 2 more darts
-# multiply that by N + 1
+# largest dart count N of any brute-force map walk, of verify and export alike;
+# export --what maps --v4 4 walks all 15!! ~ 2.0e6 edge pairings of 16 darts in
+# about a minute on a 2-core VM, and each 2 more darts multiply that by N + 1
 DART_BUDGET = 16
 
 # deepest flow a zfun, counts or export-counts request may run, in q-order
@@ -309,10 +308,15 @@ def _suite_tutte(args) -> List[str]:
                         {"flow": lambda key: pt.count(c, key), "tutte": _tutte_count})
 
 
+# the oracle window: every stable key with sum(alpha) <= 8, the widest whose
+# top keys, 4 darts per quadrivalent vertex, fit the dart budget
+ORACLE_SUM_MAX = 2 * (DART_BUDGET // 4)
+
+
 def _suite_oracle(args) -> List[str]:
-    # three-route agreement on every stable key with sum(alpha) <= s_max
-    c = _connected_series(args.s_max // 2, 0)
-    return _agree(_oracle_keys(args.s_max), {
+    # three-route agreement on every key of the oracle window
+    c = _connected_series(ORACLE_SUM_MAX // 2, 0)
+    return _agree(_oracle_keys(ORACLE_SUM_MAX), {
         "flow": lambda key: pt.count(c, key), "brute force": _enumerated, "tutte": _tutte_count,
     })
 
@@ -334,9 +338,11 @@ def _suite_bivalent(args) -> List[str]:
 
 
 def _suite_loop(args) -> List[str]:
+    # each type through at least its lowest total exponent 2(2g - 1 + n) + n - 1,
+    # so it compares a nonzero coefficient at any --order
     out = []
     for g, n in [(0, 1), (0, 2), (1, 1), (0, 3), (1, 2), (0, 4)]:
-        out.extend(spectral.loop_check(g, n, args.order))
+        out.extend(spectral.loop_check(g, n, max(args.order, 2 * (2 * g - 1 + n) + n - 1)))
     return out
 
 
@@ -345,12 +351,12 @@ def _suite_bergman(args) -> List[str]:
 
 
 def _suite_tr(args) -> List[str]:
+    # each type through at least its lowest total exponent 2(2g - 1 + n) + n,
+    # so it compares a nonzero coefficient at any --order; (1,1) one further
     out = []
-    k = args.order
-    for g, n, hi in [
-        (0, 3, k), (1, 1, k + 1), (0, 4, k), (1, 2, k), (2, 1, k), (1, 3, k), (0, 5, k), (2, 2, k)
-    ]:
-        out.extend(spectral.tr_agreement_check(g, n, hi))
+    for g, n in [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (1, 3), (0, 5), (2, 2)]:
+        hi = args.order + ((g, n) == (1, 1))
+        out.extend(spectral.tr_agreement_check(g, n, max(hi, 2 * (2 * g - 1 + n) + n)))
     return out
 
 
@@ -361,39 +367,34 @@ def _suite_norbury(args) -> List[str]:
     return out
 
 
-# each verify suite, in the order of --suites all: its function, and the darts
-# of its largest map walk at the request's options (0: it walks no map),
-# checked against --n-budget before any suite runs; the d = 4 kernel
-# structures of the matrix suites, 4 darts per vertex of the oracle's top
-# keys, the Norbury cells of (0,4) and (1,2) (6 edges) and the bivalent
-# tables to (v4, v2) = (2, 4)
+# each verify suite, in the order of --suites all; every map walk a suite
+# makes has a fixed size within DART_BUDGET: 16 darts for the d = 4 kernel
+# structures of the matrix suites, the oracle's top keys and the bivalent
+# tables to (v4, v2) = (2, 4), 12 for the Norbury cells of (0,4) and (1,2)
 VERIFY_SUITES = {
-    "cutjoin": (_suite_cutjoin, lambda args: 16),
-    "witt": (_suite_witt, lambda args: 0),
-    "virasoro": (_suite_virasoro, lambda args: 0),
-    "tutte": (_suite_tutte, lambda args: 0),
-    "oracle": (_suite_oracle, lambda args: 4 * (args.s_max // 2)),
-    "opmatrix": (_suite_opmatrix, lambda args: 16),
-    "loop": (_suite_loop, lambda args: 0),
-    "bergman": (_suite_bergman, lambda args: 0),
-    "tr": (_suite_tr, lambda args: 0),
-    "norbury": (_suite_norbury, lambda args: 12),
-    "adjoint": (_suite_adjoint, lambda args: 16),
-    "bivalent": (_suite_bivalent, lambda args: 16),
+    "cutjoin": _suite_cutjoin,
+    "witt": _suite_witt,
+    "virasoro": _suite_virasoro,
+    "tutte": _suite_tutte,
+    "oracle": _suite_oracle,
+    "opmatrix": _suite_opmatrix,
+    "loop": _suite_loop,
+    "bergman": _suite_bergman,
+    "tr": _suite_tr,
+    "norbury": _suite_norbury,
+    "adjoint": _suite_adjoint,
+    "bivalent": _suite_bivalent,
 }
 
 
 def cmd_verify(args) -> int:
     _check_budget("--order", args.order, ORDER_BUDGET)
     _check_budget("--deg-cap", args.deg_cap, COMMUTATOR_DEG_BUDGET)
-    _check_budget("flow depth m + d", max(args.dmax, args.s_max // 2), FLOW_DEPTH_BUDGET)
-    for name in args.suites:
-        _check_budget(f"the map walk of the {name} suite", VERIFY_SUITES[name][1](args),
-                      args.n_budget)
+    _check_budget("flow depth m + d", args.dmax, FLOW_DEPTH_BUDGET)
     any_residual = False
     report = {}
     for name in args.suites:
-        findings = VERIFY_SUITES[name][0](args)
+        findings = VERIFY_SUITES[name](args)
         report[name] = findings
         status = "PASS" if not findings else "FAIL"
         print(f"{status} {name}" + (f" ({len(findings)} residuals)" if findings else ""))
@@ -431,14 +432,14 @@ def cmd_tr(args) -> int:
 def cmd_export(args) -> int:
     if args.what == "kernel":
         _check_budget("the kernel map walk 4(2g - 2 + n+ + n-)",
-                      4 * opmatrix.euler_degree(args.g, args.nplus, args.nminus), args.n_budget)
+                      4 * opmatrix.euler_degree(args.g, args.nplus, args.nminus), DART_BUDGET)
         _check_budget("kernel --cap", args.cap, KERNEL_CAP_BUDGET)
         block = opmatrix.kernel_block(args.g, args.nplus, args.nminus, args.cap)
         _emit(_json_dumps(block.to_json_dict()), args.out)
     elif args.what == "maps":
         if args.v4 == args.v2 == 0:
             return _usage_error("--v4 and --v2 must give at least one vertex")
-        _check_budget("the map walk 4 v4 + 2 v2", 4 * args.v4 + 2 * args.v2, args.n_budget)
+        _check_budget("the map walk 4 v4 + 2 v2", 4 * args.v4 + 2 * args.v2, DART_BUDGET)
         valences = (4,) * args.v4 + (2,) * args.v2
         _emit((line + "\n" for line in maps.map_dump_lines(valences)), args.out)
     elif args.what == "counts":
@@ -528,8 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deg-cap", dest="deg_cap", type=_at_least(0), default=10)
     p.add_argument("--dmax", type=_at_least(1), default=4)
     p.add_argument("--order", type=_at_least(0), default=8)
-    p.add_argument("--s-max", dest="s_max", type=_at_least(2), default=8)
-    p.add_argument("--n-budget", dest="n_budget", type=_at_least(0), default=DART_BUDGET)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
@@ -550,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v4", type=_at_least(0), default=1)
     p.add_argument("--v2", type=_at_least(0), default=0)
     p.add_argument("--s-max", dest="s_max", type=_at_least(0), default=6)
-    p.add_argument("--n-budget", dest="n_budget", type=_at_least(0), default=DART_BUDGET)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_export)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dessins import cli, maps, opmatrix, tutte
+from dessins import cli, maps, opmatrix, spectral, tutte
 from dessins import partition as pt
 from dessins.series import Poly
 
@@ -72,8 +72,8 @@ def test_verify_aggregates_without_short_circuit(monkeypatch):
         calls.append("second")
         return []
 
-    monkeypatch.setitem(cli.VERIFY_SUITES, "witt", (fake_fail, lambda args: 0))
-    monkeypatch.setitem(cli.VERIFY_SUITES, "bergman", (fake_pass, lambda args: 0))
+    monkeypatch.setitem(cli.VERIFY_SUITES, "witt", fake_fail)
+    monkeypatch.setitem(cli.VERIFY_SUITES, "bergman", fake_pass)
     code, out = run_cli("verify", "--suites", "witt,bergman")
     assert code == cli.EXIT_RESIDUAL
     assert calls == ["first", "second"]
@@ -91,7 +91,7 @@ def test_verify_runs_a_repeated_suite_once(monkeypatch, tmp_path):
         return suite
 
     for name in ("witt", "bergman"):
-        monkeypatch.setitem(cli.VERIFY_SUITES, name, (fake(name), lambda args: 0))
+        monkeypatch.setitem(cli.VERIFY_SUITES, name, fake(name))
     out_path = tmp_path / "report.json"
     code, out = run_cli("verify", "--suites", "witt, bergman,witt,,bergman", "--out", str(out_path))
     assert code == 0
@@ -101,9 +101,7 @@ def test_verify_runs_a_repeated_suite_once(monkeypatch, tmp_path):
 
 
 def test_budget_exit_code():
-    code, _ = run_cli(
-        "verify", "--suites", "oracle", "--s-max", "12", "--n-budget", "8"
-    )
+    code, _ = run_cli("verify", "--suites", "oracle", "--dmax", "11")
     assert code == cli.EXIT_BUDGET
 
 
@@ -118,8 +116,8 @@ def test_tr_json_deterministic_and_exact():
 
 
 def test_json_independent_of_threads(tmp_path, monkeypatch):
-    # the oracle suite at --s-max 6 scans 12-dart tables, which open the
-    # fork pool at two workers; each run starts from empty tables
+    # the oracle suite scans tables of up to 16 darts, which open the fork
+    # pool at two workers; each run starts from empty tables
     import multiprocessing
 
     contexts = []
@@ -136,7 +134,7 @@ def test_json_independent_of_threads(tmp_path, monkeypatch):
             maps._dessin_table.cache_clear()
             outs[threads] = tmp_path / f"t{threads}.json"
             code, text = run_cli("--threads", threads, "verify", "--suites", "oracle",
-                                 "--s-max", "6", "--out", str(outs[threads]))
+                                 "--out", str(outs[threads]))
             assert code == 0 and text == "PASS oracle\n"
             assert bool(contexts) == (threads == "2")
     finally:
@@ -229,16 +227,16 @@ def test_export_correlator_json(tmp_path):
         ("verify", "--suites", "bivalent", "--deg-cap", "-1"),
         ("verify", "--suites", ","),
         ("verify", "--suites", "all,witt"),
-        ("verify", "--suites", "oracle", "--n-budget", "-1"),
         ("verify", "--suites", "witt", "--dmax", "-5"),
         ("verify", "--suites", "virasoro", "--dmax", "-5"),
-        ("verify", "--suites", "oracle", "--s-max", "-1"),
-        # windows that would compare nothing: no stable key has a total
-        # below 2, and Virasoro checks no degree at --dmax 0
-        ("verify", "--suites", "oracle", "--s-max", "0"),
-        ("verify", "--suites", "oracle", "--s-max", "1"),
+        # a window that would compare nothing: Virasoro checks no degree at
+        # --dmax 0
         ("verify", "--suites", "virasoro", "--dmax", "0"),
-        ("export", "--what", "maps", "--n-budget", "-1"),
+        # every map walk is bounded by the fixed cli.DART_BUDGET, and the
+        # oracle window by it
+        ("verify", "--s-max", "8"),
+        ("verify", "--n-budget", "16"),
+        ("export", "--what", "maps", "--n-budget", "16"),
         ("--threads", "0", "zfun", "--dmax", "1"),
         ("--threads", "-1", "zfun", "--dmax", "1"),
         ("zfun", "--dmax0", "-5"),
@@ -300,19 +298,10 @@ def test_export_counts_at_the_largest_nplus_of_its_s_max():
 
 
 def test_kernel_over_budget_exits_budget_with_message():
-    # (0,4,3) needs 20 darts, over the default --n-budget of cli.DART_BUDGET = 16
+    # (0,4,3) needs 20 darts, over cli.DART_BUDGET = 16
     _assert_budget_error(
         ("export", "--what", "kernel", "--g", "0", "--nplus", "4", "--nminus", "3", "--cap", "10")
     )
-
-
-KERNEL_0_2_2 = ("export", "--what", "kernel", "--g", "0", "--nplus", "2", "--nminus", "2")
-
-
-def test_kernel_walk_within_its_n_budget_matches_the_default():
-    code, out = run_cli(*KERNEL_0_2_2)
-    assert code == 0 and json.loads(out)["entries"]
-    assert run_cli(*KERNEL_0_2_2, "--n-budget", "8") == (code, out)
 
 
 @pytest.mark.parametrize(
@@ -325,7 +314,6 @@ def test_kernel_walk_within_its_n_budget_matches_the_default():
         ("export", "--what", "counts", "--s-max", "22"),
         ("verify", "--suites", "virasoro", "--dmax", "11"),
         ("verify", "--suites", "witt", "--dmax", "11"),
-        ("verify", "--suites", "oracle", "--s-max", "22"),
     ],
     ids=" ".join,
 )
@@ -350,8 +338,6 @@ def test_deg_cap_over_budget_exits_budget_with_message(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "--suites", "bivalent", "--n-budget", "8"),
-        KERNEL_0_2_2 + ("--n-budget", "4"),
         ("export", "--what", "maps", "--v4", "4", "--v2", "1"),
         ("tr", "--g", "5", "--n", "1"),
         ("tr", "--g", "0", "--n", "7"),
@@ -364,22 +350,11 @@ def test_deg_cap_over_budget_exits_budget_with_message(argv):
     ids=" ".join,
 )
 def test_scan_and_tr_over_budget_exit_budget_with_message(argv):
-    # the bivalent brute force needs up to 16 darts, the (0,2,2) kernel 8, the
-    # map dump 18 over the default 16; tr is one past
+    # the map dump needs 18 darts, over cli.DART_BUDGET = 16; tr is one past
     # cli.TR_DEGREE_BUDGET = 4 in 2g - 2 + n, or one past cli.ORDER_BUDGET = 12;
     # a correlator is past cli.CORRELATOR_CAP_BUDGET = 20, and the (0,3,3)
-    # kernel, its 16 darts within --n-budget, past cli.KERNEL_CAP_BUDGET = 20
+    # kernel, its 16 darts within cli.DART_BUDGET, past cli.KERNEL_CAP_BUDGET = 20
     _assert_budget_error(argv)
-
-
-@pytest.mark.parametrize(
-    "suite", ["oracle", "bivalent", "norbury", "cutjoin", "opmatrix", "adjoint", "all"]
-)
-def test_verify_map_walk_over_n_budget_exits_before_any_suite(suite):
-    # the largest walks: 12 darts for the Norbury cells, 16 for the others;
-    # the message names the suite, for all the first one in run order
-    stderr = _assert_budget_error(("verify", "--suites", suite, "--n-budget", "4"))
-    assert f" {'cutjoin' if suite == 'all' else suite} suite " in stderr
 
 
 def test_bivalent_suite_finds_a_key_the_map_walk_lost(monkeypatch):
@@ -458,11 +433,11 @@ def test_export_counts_builds_one_connected_series(monkeypatch):
     assert len(calls) == 1
 
 
-# the suites that walk maps; each other suite must declare a walk of 0 darts
+# the suites that walk maps
 MAP_WALKING_SUITES = {"cutjoin", "oracle", "opmatrix", "norbury", "adjoint", "bivalent"}
 
 
-def test_each_suite_declares_the_darts_of_its_largest_map_walk(monkeypatch):
+def test_each_suite_walks_at_most_the_dart_budget(monkeypatch):
     darts = []
 
     def recording(walk, size):
@@ -479,16 +454,17 @@ def test_each_suite_declares_the_darts_of_its_largest_map_walk(monkeypatch):
         maps._norbury_cells, lambda g, n: max(sum(t) for t in maps._valence_types(g, n))
     ))
     args = cli.build_parser().parse_args(["verify"])
-    for name, (suite, declared) in cli.VERIFY_SUITES.items():
-        if name not in MAP_WALKING_SUITES:
-            assert declared(args) == 0, name
-            continue
+    largest = {}
+    for name in MAP_WALKING_SUITES:
         # the cached callers of the walks, so each suite walks again
         for cached in (opmatrix.kernel_block, opmatrix.assembled_operator, maps._norbury_table):
             cached.cache_clear()
         darts.clear()
-        assert suite(args) == []
-        assert max(darts) == declared(args), name
+        assert cli.VERIFY_SUITES[name](args) == []
+        largest[name] = max(darts)
+    assert max(largest.values()) <= cli.DART_BUDGET, largest
+    # the oracle window is the widest the budget allows
+    assert largest["oracle"] == cli.DART_BUDGET
 
 
 def test_tutte_suite_checks_connected_series_through_sum_16(monkeypatch):
@@ -529,13 +505,53 @@ def test_agree_names_each_key_and_route_off_the_flow():
 
 @pytest.mark.parametrize("route, name", [("_enumerated", "brute force"), ("_tutte_count", "tutte")])
 def test_oracle_suite_finds_one_route_off_on_one_key(monkeypatch, route, name):
-    args = cli.build_parser().parse_args(["verify", "--suites", "oracle", "--s-max", "6"])
+    args = cli.build_parser().parse_args(["verify", "--suites", "oracle"])
     bumped = pt.CountKey(1, 1, 1, (4,))
-    assert bumped in set(cli._oracle_keys(args.s_max))
+    assert bumped in set(cli._oracle_keys(cli.ORACLE_SUM_MAX))
     real_route = getattr(cli, route)
     monkeypatch.setattr(cli, route, lambda key: real_route(key) + (key == bumped))
     want = real_route(bumped)
     assert cli._suite_oracle(args) == [f"{bumped}: {name} {want + 1} != flow {want}"]
+
+
+@pytest.mark.parametrize("order", [["--order", "0"], []], ids=["order 0", "default order"])
+@pytest.mark.parametrize("suite, types", [("tr", 8), ("loop", 6)])
+def test_each_tr_and_loop_type_compares_a_nonzero_coefficient(monkeypatch, suite, types, order):
+    # per type, the nonzero coefficients its one table comparison sees
+    seen = []
+    check = {"tr": "tr_agreement_check", "loop": "loop_check"}[suite]
+    real_check, real_mismatches = getattr(spectral, check), spectral._mismatches
+
+    def recording_check(g, n, hi):
+        seen.append([(g, n), 0])
+        return real_check(g, n, hi)
+
+    def counting_mismatches(lhs, rhs, hi):
+        seen[-1][1] += sum(1 for t in (lhs, rhs) for e, v in t.items() if v and sum(e) <= hi)
+        return real_mismatches(lhs, rhs, hi)
+
+    monkeypatch.setattr(spectral, check, recording_check)
+    monkeypatch.setattr(spectral, "_mismatches", counting_mismatches)
+    args = cli.build_parser().parse_args(["verify", "--suites", suite, *order])
+    assert cli.VERIFY_SUITES[suite](args) == []
+    assert len(seen) == types
+    assert [gn for gn, nonzero in seen if not nonzero] == []
+
+
+@pytest.mark.parametrize("doubled", [(0, 5), (2, 2)], ids=str)
+def test_tr_suite_finds_a_doubled_omega_at_the_default_order(monkeypatch, doubled):
+    real_omega = spectral.tr_omega
+
+    def doubling(g, n):
+        om = real_omega(g, n)
+        if (g, n) != doubled:
+            return om
+        return spectral.OmegaDifferential(g, n, {k: 2 * c for k, c in om.value.items()})
+
+    monkeypatch.setattr(spectral, "tr_omega", doubling)
+    findings = cli._suite_tr(cli.build_parser().parse_args(["verify", "--suites", "tr"]))
+    g, n = doubled
+    assert findings and all(f.startswith(f"(g,n)=({g},{n}) exponent ") for f in findings)
 
 
 def _run_module(argv, timeout=None):
@@ -552,7 +568,6 @@ def _assert_budget_error(argv):
     assert "error: budget exceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
-    return proc.stderr
 
 
 def _assert_usage_error(argv):
