@@ -52,11 +52,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 Perm = Tuple[int, ...]
 
@@ -199,8 +198,7 @@ def _connected_maps(s0: Perm, involutions: Iterable[Sequence[int]]) -> Iterator[
         yield s1, face, first, perim
 
 
-@dataclass(frozen=True)
-class DirectedMap:
+class DirectedMap(NamedTuple):
     """A connected directed map with its face data."""
 
     s0: Perm
@@ -246,8 +244,7 @@ def directed_maps(valences: Sequence[int]) -> Iterator[DirectedMap]:
             )
 
 
-@dataclass(frozen=True)
-class EnumSpec:
+class EnumSpec(NamedTuple):
     """A request for a weighted count of directed quadri/bivalent maps."""
 
     v4: int

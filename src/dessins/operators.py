@@ -49,11 +49,10 @@ s = the marker ``t-`` it tracks the number of negative boundary components.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm, perm
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple, TypeVar
 
 from .series import MONO_ONE, Exps, Monomial, Poly, _merged
 
@@ -71,8 +70,7 @@ Group = Tuple[int, Tuple[Tuple[int, Monomial], ...]]
 K = TypeVar("K")
 
 
-@dataclass(frozen=True)
-class DiffTerm:
+class DiffTerm(NamedTuple):
     """One term c * t^mono * prod d_i^e of a differential operator."""
 
     coeff: Fraction
@@ -105,26 +103,47 @@ def _mono_id(m: Monomial) -> int:
     return i
 
 
-@dataclass(frozen=True)
 class DiffOp:
     """The operator sum over patterns D of coeffs(D) * d^D, normal ordered.
 
     ``coeffs(D)`` is empty for every pattern of total order above ``order``,
-    and ``den`` times each of its coefficients is an integer.
+    and ``den`` times each of its coefficients is an integer.  Immutable:
+    equality and hash are over (name, order, den, coeffs), so an operator is
+    a cache key (of ``conjugate_shift``); its memos are in neither.
     """
 
+    __slots__ = ("name", "order", "den", "coeffs", "_groups", "_images")
     name: str
     order: int
     den: int
     coeffs: Callable[[Ders], Coeffs]
     # the group of each pattern met so far (see ``_group``)
-    _groups: Dict[Ders, Group] = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
+    _groups: Dict[Ders, Group]
     # the image of each monomial met so far, by monomial id (see ``image``)
-    _images: Dict[int, Image] = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
+    _images: Dict[int, Image]
+
+    def __init__(self, name: str, order: int, den: int, coeffs: Callable[[Ders], Coeffs]):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "order", order)
+        put(self, "den", den)
+        put(self, "coeffs", coeffs)
+        put(self, "_groups", {})
+        put(self, "_images", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not DiffOp:
+            return NotImplemented
+        return (self.name, self.order, self.den, self.coeffs) == (
+            other.name, other.order, other.den, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.name, self.order, self.den, self.coeffs))
+
+    def __setattr__(self, *a):
+        raise AttributeError("DiffOp is immutable")
+
+    __delattr__ = __setattr__
 
     def _group(self, ders: Ders) -> Group:
         """Evaluate and keep the group of the pattern ``ders``."""

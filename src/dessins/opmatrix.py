@@ -54,11 +54,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import maps, operators as ops, partition as pt
 from .series import Monomial, Poly, distinct_permutations, mu_factorial, sorted_multi
@@ -70,8 +69,7 @@ def euler_degree(g: int, n_plus: int, n_minus: int) -> int:
     return 2 * g - 2 + n_plus + n_minus
 
 
-@dataclass(frozen=True)
-class KernelBlock:
+class KernelBlock(NamedTuple):
     g: int
     n_plus: int
     n_minus: int

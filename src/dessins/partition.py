@@ -19,26 +19,43 @@ with d = 2g - 2 + n+ + n- and sum(alpha) = 2d (+ m in the bivalent case).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import operators as ops
 from .series import MARKER_NEG, Monomial, Poly, accumulate_product, mu_factorial
 
 
-@dataclass
 class QSeries:
     """Layered series: ``layers[(m, d)]`` is the coefficient of q0^m q1^d.
 
     Quadrivalent-only series live on the m = 0 row.  ``connected`` records
     whether the layers are the logarithm (connected counts) already.
+    Compared by value, and unhashable, since ``layers`` can change.
     """
 
-    layers: Dict[Tuple[int, int], Poly]
-    marker: bool = False
-    connected_form: bool = False
+    __slots__ = ("layers", "marker", "connected_form")
+
+    def __init__(
+        self, layers: Dict[Tuple[int, int], Poly], marker: bool = False,
+        connected_form: bool = False,
+    ):
+        self.layers = layers
+        self.marker = marker
+        self.connected_form = connected_form
+
+    def __eq__(self, other):
+        if other.__class__ is not QSeries:
+            return NotImplemented
+        return (self.layers, self.marker, self.connected_form) == (
+            other.layers, other.marker, other.connected_form)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"QSeries(layers={self.layers!r}, marker={self.marker!r}, "
+                f"connected_form={self.connected_form!r})")
 
     def layer(self, d: int, m: int = 0) -> Poly:
         return self.layers.get((m, d), Poly.zero())
@@ -135,8 +152,7 @@ def connected(z: QSeries) -> QSeries:
     return QSeries(f, marker=z.marker, connected_form=True)
 
 
-@dataclass(frozen=True)
-class CountKey:
+class CountKey(NamedTuple):
     g: int
     n_plus: int
     n_minus: int

@@ -52,11 +52,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import tutte
 from .maps import NORBURY_SUPPORTED, norbury_N
@@ -73,8 +72,7 @@ MultiIndex = Tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrelatorSeries:
+class CorrelatorSeries(NamedTuple):
     """W_{g,n} as a finite table alpha (sorted) -> R~_{g,n}(alpha)."""
 
     g: int
@@ -552,8 +550,7 @@ def _passive_coupling(slot: int, eps: int, power: int, hi: int, at_inverse: bool
     return out
 
 
-@dataclass(frozen=True)
-class _Factor:
+class _Factor(NamedTuple):
     """One factor of a residue integrand at z = eps + u.
 
     ``order`` is a lower bound on its order in u, and ``expand(hi)`` is its
@@ -697,8 +694,7 @@ def tr_omega(g: int, n: int) -> "OmegaDifferential":
     return OmegaDifferential(g, n, value)
 
 
-@dataclass(frozen=True)
-class OmegaDifferential:
+class OmegaDifferential(NamedTuple):
     """omega_{g,n} divided by dz_1 ... dz_n, in partial-fraction pole form."""
 
     g: int

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb
 
+from dessins.operators import DiffOp
 from dessins.series import Monomial, Poly
 
 
@@ -17,3 +18,9 @@ def parse_poly(pairs) -> Poly:
 
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
+
+
+def fresh_op(op: DiffOp, coeffs=None) -> DiffOp:
+    """A copy of ``op`` with no memoized groups or images, around ``coeffs``
+    when given and around ``op``'s coefficient function otherwise."""
+    return DiffOp(op.name, op.order, op.den, op.coeffs if coeffs is None else coeffs)

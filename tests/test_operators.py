@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ from dessins import operators as ops
 from dessins import opmatrix
 from dessins import partition as pt
 from dessins.series import MARKER_NEG, Monomial, Poly
-from helpers import parse_poly
+from helpers import fresh_op, parse_poly
 
 
 def P(*pairs):
@@ -239,7 +238,7 @@ def _cold(args):
     """The operators of ``args`` copied into new ``DiffOp`` objects around
     the same coefficient functions, which start with no groups and no
     images."""
-    return tuple(dataclasses.replace(a) if isinstance(a, ops.DiffOp) else a for a in args)
+    return tuple(fresh_op(a) if isinstance(a, ops.DiffOp) else a for a in args)
 
 
 @pytest.mark.parametrize("name", [*WRONG_BRACKETS, *PASSING_BRACKETS])
@@ -336,7 +335,7 @@ def _mixed_chains(length):
     that of the growing-den operator, one of them with coefficient 0 around
     a cold operator that only it holds."""
     w, l0, g = ops.w1(), ops.scaled(L(0), Fraction(1, 3)), _growing_den_op()
-    zero = dataclasses.replace(ops.w0())
+    zero = fresh_op(ops.w0())
     chains = [(w, l0, g, l0), (g, w, l0, g), (l0, g, w, w)]
     coeffs = [Fraction(1), Fraction(-7, 4), Fraction(2, 3)]
     parts = [(c, chain[:length]) for c, chain in zip(coeffs, chains)]
@@ -459,7 +458,7 @@ def test_image_matches_apply(name, exps):
 
 def _fresh(name):
     # a copy starts without groups, also for the cached assembled operator
-    return dataclasses.replace(OPERATORS[name]())
+    return fresh_op(OPERATORS[name]())
 
 
 @pytest.mark.parametrize("name", OPERATORS)
@@ -518,7 +517,7 @@ def _counting_copy(op, calls):
         calls[op.name, ders] += 1
         return op.coeffs(ders)
 
-    return dataclasses.replace(op, coeffs=coeffs)
+    return fresh_op(op, coeffs)
 
 
 @pytest.mark.parametrize("flow, names", [

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -13,6 +12,7 @@ from dessins import operators as ops
 from dessins import opmatrix as om
 from dessins import partition as pt
 from dessins.series import Monomial, Poly, sorted_multi
+from helpers import fresh_op
 from lattice_reference import lattice_points
 
 
@@ -92,7 +92,7 @@ def _counting_copy(op, calls):
         calls[op.name, ders] += 1
         return op.coeffs(ders)
 
-    return dataclasses.replace(op, coeffs=coeffs)
+    return fresh_op(op, coeffs)
 
 
 def test_cutjoin_matrix_check_builds_each_table_once(monkeypatch):
